@@ -41,7 +41,7 @@ from .dgp import (
 )
 from .errors import DomainError
 from .lagselect import select_ar_order, select_var_order
-from .montecarlo import mc_critical_values
+from .montecarlo import _SIMULATED, _STATISTICS, mc_critical_values
 from .series import TimeSeries, sample_moments
 from .unitroot import AdfSpec, adf_test
 from .varmodel import fit_var, forecast_var, granger_test, stability
@@ -145,17 +145,15 @@ def ingest_csv(path, decimal_comma: bool = False) -> Dataset:
     )
 
 
-def _load(args) -> Dataset:
-    return ingest_csv(args.csv, decimal_comma=getattr(args, "decimal_comma", False))
+def _column(dataset: Dataset, name: str) -> TimeSeries:
+    if name not in dataset.columns:
+        raise DomainError(f"column {name!r} not found; available: {sorted(dataset.columns)}")
+    return dataset.columns[name]
 
 
 def _pick_single(dataset: Dataset, col: str | None) -> TimeSeries:
     if col is not None:
-        if col not in dataset.columns:
-            raise DomainError(
-                f"column {col!r} not found; available: {sorted(dataset.columns)}"
-            )
-        return dataset.columns[col]
+        return _column(dataset, col)
     if len(dataset.columns) == 1:
         return next(iter(dataset.columns.values()))
     raise DomainError(
@@ -175,14 +173,14 @@ def _split_names(raw: str, flag: str) -> list:
 def _pick_many(dataset: Dataset, cols: str | None, flag: str = "--cols") -> dict:
     if cols is None:
         return dict(dataset.columns)
-    picked = {}
-    for nm in _split_names(cols, flag):
-        if nm not in dataset.columns:
-            raise DomainError(
-                f"column {nm!r} not found; available: {sorted(dataset.columns)}"
-            )
-        picked[nm] = dataset.columns[nm]
-    return picked
+    return {nm: _column(dataset, nm) for nm in _split_names(cols, flag)}
+
+
+def _pick_regression(dataset: Dataset, args) -> tuple:
+    """The --y column, the --x names and their columns."""
+    y = _column(dataset, args.y)
+    xnames = _split_names(args.x, "--x")
+    return y, xnames, [_column(dataset, nm) for nm in xnames]
 
 
 # --- report plumbing ----------------------------------------------------------
@@ -242,20 +240,21 @@ def _ols_block(fit) -> dict:
     }
 
 
-def _stability_block(check) -> dict:
+def _stability_block(check, stationary: bool) -> dict:
     return {
-        "stationary": bool(getattr(check, "stationary", getattr(check, "stable", False))),
+        "stationary": bool(stationary),
         "root_moduli": [float(m) for m in check.root_moduli],
         "has_unit_root": bool(check.has_unit_root),
     }
 
 
 def _ar_block(fit) -> dict:
+    check = is_stationary(fit.lag_poly)
     return {
         "p": int(fit.order),
         "intercept": float(fit.intercept),
         "lag_coefficients": [float(c) for c in fit.lag_poly.coefficients],
-        "stationarity": _stability_block(is_stationary(fit.lag_poly)),
+        "stationarity": _stability_block(check, check.stationary),
         "regression": _ols_block(fit.fit),
     }
 
@@ -263,8 +262,7 @@ def _ar_block(fit) -> dict:
 # --- subcommand handlers ------------------------------------------------------
 
 
-def _cmd_describe(args, argv) -> dict:
-    ds = _load(args)
+def _cmd_describe(args, ds):
     series = _pick_single(ds, args.col)
     max_lag = args.max_lag if args.max_lag is not None else min(20, len(series) - 2)
     moments = sample_moments(series, max_lag, full_sample_mean=args.full_sample_mean)
@@ -285,19 +283,16 @@ def _cmd_describe(args, argv) -> dict:
         ]
         _write_csv(args.emit_csv, ["lag", "autocovariance", "autocorrelation"], rows)
         result["csv"] = args.emit_csv
-    return _envelope("describe", argv, result, ds, [series.label])
+    return result, [series.label], None
 
 
-def _cmd_fit_ar(args, argv) -> dict:
-    ds = _load(args)
+def _cmd_fit_ar(args, ds):
     series = _pick_single(ds, args.col)
     fit = fit_ar(series, args.p)
-    return _envelope("fit-ar", argv, {"series": series.label, "model": _ar_block(fit)},
-                     ds, [series.label])
+    return {"series": series.label, "model": _ar_block(fit)}, [series.label], None
 
 
-def _cmd_select_lag(args, argv) -> dict:
-    ds = _load(args)
+def _cmd_select_lag(args, ds):
     if args.cols is not None and len(_split_names(args.cols, "--cols")) > 1:
         data = _pick_many(ds, args.cols)
         table = select_var_order(data, args.p_max, criterion=args.criterion)
@@ -306,12 +301,10 @@ def _cmd_select_lag(args, argv) -> dict:
         series = _pick_single(ds, args.cols if args.cols else args.col)
         table = select_ar_order(series, args.p_max, criterion=args.criterion)
         used = [series.label]
-    return _envelope("select-lag", argv, {"table": table.to_dict(), "columns": used},
-                     ds, used)
+    return {"table": table.to_dict(), "columns": used}, used, None
 
 
-def _cmd_forecast(args, argv) -> dict:
-    ds = _load(args)
+def _cmd_forecast(args, ds):
     series = _pick_single(ds, args.col)
     fit = fit_ar(series, args.p)
     fc = forecast_ar(fit, series, args.horizon)
@@ -326,27 +319,23 @@ def _cmd_forecast(args, argv) -> dict:
         rows = [(h + 1, v) for h, v in enumerate(result["point_forecasts"])]
         _write_csv(args.emit_csv, ["horizon", "forecast"], rows)
         result["csv"] = args.emit_csv
-    return _envelope("forecast", argv, result, ds, [series.label])
+    return result, [series.label], None
 
 
-def _cmd_adf(args, argv) -> dict:
-    ds = _load(args)
+def _cmd_adf(args, ds):
     series = _pick_single(ds, args.col)
-    lags = args.lags if args.lags == "auto" else int(args.lags)
-    report = adf_test(series, AdfSpec(lags=lags, deterministic=args.det),
+    report = adf_test(series, AdfSpec(lags=args.lags, deterministic=args.det),
                       cv_source=args.cv_file)
-    return _envelope("adf", argv, {"report": report.to_dict()}, ds, [series.label])
+    return {"report": report.to_dict()}, [series.label], None
 
 
-def _cmd_chow(args, argv) -> dict:
-    ds = _load(args)
+def _cmd_chow(args, ds):
     series = _pick_single(ds, args.col)
     report = chow_test(series, p=args.p, tau=args.tau)
-    return _envelope("chow", argv, {"report": report.to_dict()}, ds, [series.label])
+    return {"report": report.to_dict()}, [series.label], None
 
 
-def _cmd_qlr(args, argv) -> dict:
-    ds = _load(args)
+def _cmd_qlr(args, ds):
     series = _pick_single(ds, args.col)
     report = qlr_test(series, p=args.p, trim=args.trim, cv_source=args.cv_file)
     result = {"report": report.to_dict()}
@@ -356,10 +345,11 @@ def _cmd_qlr(args, argv) -> dict:
         rows = list(zip(taus.tolist(), [float(f) for f in scan]))
         _write_csv(args.emit_csv, ["position", "f_statistic"], rows)
         result["csv"] = args.emit_csv
-    return _envelope("qlr", argv, result, ds, [series.label])
+    return result, [series.label], None
 
 
 def _var_block(fit) -> dict:
+    check = stability(fit)
     return {
         "names": list(fit.names),
         "p": int(fit.p),
@@ -367,20 +357,18 @@ def _var_block(fit) -> dict:
         "intercepts": [float(v) for v in fit.intercepts],
         "coefficient_matrices": [A.tolist() for A in fit.coeff_matrices],
         "residual_cov": fit.residual_cov.tolist(),
-        "stability": _stability_block(stability(fit)),
+        "stability": _stability_block(check, check.stable),
         "equations": {nm: _ols_block(f) for nm, f in zip(fit.names, fit.equation_fits)},
     }
 
 
-def _cmd_fit_var(args, argv) -> dict:
-    ds = _load(args)
+def _cmd_fit_var(args, ds):
     data = _pick_many(ds, args.cols)
     fit = fit_var(data, args.p)
-    return _envelope("fit-var", argv, {"model": _var_block(fit)}, ds, list(data))
+    return {"model": _var_block(fit)}, list(data), None
 
 
-def _cmd_forecast_var(args, argv) -> dict:
-    ds = _load(args)
+def _cmd_forecast_var(args, ds):
     data = _pick_many(ds, args.cols)
     fit = fit_var(data, args.p)
     forecasts = forecast_var(fit, data, args.horizon)
@@ -400,28 +388,22 @@ def _cmd_forecast_var(args, argv) -> dict:
         ]
         _write_csv(args.emit_csv, ["horizon", *names], rows)
         result["csv"] = args.emit_csv
-    return _envelope("forecast-var", argv, result, ds, list(data))
+    return result, list(data), None
 
 
-def _cmd_granger(args, argv) -> dict:
-    ds = _load(args)
-    for nm in (args.cause, args.effect):
-        if nm not in ds.columns:
-            raise DomainError(
-                f"column {nm!r} not found; available: {sorted(ds.columns)}"
-            )
+def _cmd_granger(args, ds):
+    used = [args.cause, args.effect]
+    for nm in used:
+        _column(ds, nm)
     report = granger_test(ds.columns, cause=args.cause, effect=args.effect, p=args.p)
-    return _envelope("granger", argv, {"report": report.to_dict()}, ds,
-                     [args.cause, args.effect])
+    return {"report": report.to_dict()}, used, None
 
 
-def _cmd_integration_order(args, argv) -> dict:
-    ds = _load(args)
+def _cmd_integration_order(args, ds):
     series = _pick_single(ds, args.col)
-    lags = args.lags if args.lags == "auto" else int(args.lags)
     out = integration_order(
         series,
-        AdfSpec(lags=lags, deterministic=args.det),
+        AdfSpec(lags=args.lags, deterministic=args.det),
         max_order=args.max_order,
         level=args.level,
         cv_source=args.cv_file,
@@ -433,19 +415,12 @@ def _cmd_integration_order(args, argv) -> dict:
         "level": float(out.level),
         "reports": [r.to_dict() for r in out.reports],
     }
-    return _envelope("integration-order", argv, result, ds, [series.label])
+    return result, [series.label], None
 
 
-def _cmd_coint(args, argv) -> dict:
-    ds = _load(args)
-    if args.y not in ds.columns:
-        raise DomainError(f"column {args.y!r} not found; available: {sorted(ds.columns)}")
-    xnames = _split_names(args.x, "--x")
-    for nm in xnames:
-        if nm not in ds.columns:
-            raise DomainError(f"column {nm!r} not found; available: {sorted(ds.columns)}")
-    fit = eg_adf_test(ds.columns[args.y], [ds.columns[nm] for nm in xnames],
-                      cv_source=args.cv_file)
+def _cmd_coint(args, ds):
+    y, xnames, xs = _pick_regression(ds, args)
+    fit = eg_adf_test(y, xs, cv_source=args.cv_file)
     result = {
         "dependent": args.y,
         "n_regressors": int(fit.n_regressors),
@@ -454,19 +429,12 @@ def _cmd_coint(args, argv) -> dict:
         "degenerate": bool(fit.degenerate),
         "report": fit.eg_adf.to_dict() if fit.eg_adf is not None else None,
     }
-    return _envelope("coint", argv, result, ds, [args.y, *xnames])
+    return result, [args.y, *xnames], None
 
 
-def _cmd_dols(args, argv) -> dict:
-    ds = _load(args)
-    if args.y not in ds.columns:
-        raise DomainError(f"column {args.y!r} not found; available: {sorted(ds.columns)}")
-    xnames = _split_names(args.x, "--x")
-    for nm in xnames:
-        if nm not in ds.columns:
-            raise DomainError(f"column {nm!r} not found; available: {sorted(ds.columns)}")
-    fit = dols(ds.columns[args.y], [ds.columns[nm] for nm in xnames], p=args.p,
-               use_level_terms=args.level_terms)
+def _cmd_dols(args, ds):
+    y, xnames, xs = _pick_regression(ds, args)
+    fit = dols(y, xs, p=args.p, use_level_terms=args.level_terms)
     result = {
         "dependent": args.y,
         "p": int(fit.p),
@@ -477,7 +445,7 @@ def _cmd_dols(args, argv) -> dict:
                    for nm, js in fit.deltas.items()},
         "regression": _ols_block(fit.fit),
     }
-    return _envelope("dols", argv, result, ds, [args.y, *xnames])
+    return result, [args.y, *xnames], None
 
 
 def _parse_floats(raw: str, flag: str) -> tuple:
@@ -545,7 +513,7 @@ def _build_sim_spec(args, seed: int):
     raise DomainError(f"unknown kind {kind!r}")
 
 
-def _cmd_simulate(args, argv) -> dict:
+def _cmd_simulate(args, ds):
     seed = args.seed if args.seed is not None else secrets.randbits(63)
     spec = _build_sim_spec(args, seed)
     out = simulate(spec, args.T)
@@ -569,20 +537,12 @@ def _cmd_simulate(args, argv) -> dict:
         "out_sha256": _sha256_of(args.out),
         "spec": json.loads(json.dumps(spec_echo, default=_jsonable)),
     }
-    return _envelope("simulate", argv, result, seed=seed)
+    return result, None, seed
 
 
-def _cmd_mc_critical(args, argv) -> dict:
+def _cmd_mc_critical(args, ds):
     seed = args.seed if args.seed is not None else secrets.randbits(63)
-    params: dict = {}
-    if args.statistic == "adf":
-        params["deterministic"] = args.det
-        params["lags"] = args.lags if args.lags == "auto" else int(args.lags)
-    elif args.statistic == "qlr":
-        params["p"] = args.p
-        params["trim"] = args.trim
-    elif args.statistic == "egadf":
-        params["n_regressors"] = args.m
+    params = {name: getattr(args, dest) for dest, name in _STATISTICS[args.statistic].flags}
     run = mc_critical_values(
         args.statistic, params, T_sim=args.T_sim, reps=args.reps, seed=seed,
         levels=_parse_floats(args.levels, "--levels"), workers=args.workers,
@@ -609,18 +569,31 @@ def _cmd_mc_critical(args, argv) -> dict:
         "generator": run.generator,
         "written_to": written,
     }
-    return _envelope("mc-critical", argv, result, seed=seed)
+    return result, None, seed
 
 
 # --- parser -------------------------------------------------------------------
 
 
-def _add_input_options(sp, single_col: bool = True) -> None:
-    sp.add_argument("csv", help="input CSV file with a header row")
-    sp.add_argument("--decimal-comma", action="store_true",
-                    help="semicolon-delimited file with decimal commas (3,14 -> 3.14)")
-    if single_col:
-        sp.add_argument("--col", default=None, help="column to analyze")
+def _lags(text: str):
+    """--lags value: 'auto' or an integer (the test itself rejects negatives)."""
+    try:
+        return text if text == "auto" else int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer or 'auto', got {text!r}") from None
+
+
+def _subcommand(sub, name: str, handler, help: str, csv: bool = True, col: bool = True):
+    """A subparser; with csv, main loads its input file before calling the handler."""
+    sp = sub.add_parser(name, help=help)
+    sp.set_defaults(handler=handler)
+    if csv:
+        sp.add_argument("csv", help="input CSV file with a header row")
+        sp.add_argument("--decimal-comma", action="store_true",
+                        help="semicolon-delimited file with decimal commas (3,14 -> 3.14)")
+        if col:
+            sp.add_argument("--col", default=None, help="column to analyze")
+    return sp
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -631,103 +604,83 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"tsecon {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("describe", help="sample moments and autocorrelations")
-    _add_input_options(sp)
+    sp = _subcommand(sub, "describe", _cmd_describe, "sample moments and autocorrelations")
     sp.add_argument("--max-lag", type=int, default=None)
     sp.add_argument("--full-sample-mean", action="store_true",
                     help="use the full-sample mean in every autocovariance window")
     sp.add_argument("--emit-csv", default=None, help="write the lag table as CSV")
-    sp.set_defaults(handler=_cmd_describe)
 
-    sp = sub.add_parser("fit-ar", help="estimate an AR(p) by least squares")
-    _add_input_options(sp)
+    sp = _subcommand(sub, "fit-ar", _cmd_fit_ar, "estimate an AR(p) by least squares")
     sp.add_argument("--p", type=int, required=True)
-    sp.set_defaults(handler=_cmd_fit_ar)
 
-    sp = sub.add_parser("select-lag", help="information-criterion lag-order table")
-    _add_input_options(sp)
+    sp = _subcommand(sub, "select-lag", _cmd_select_lag, "information-criterion lag-order table")
     sp.add_argument("--cols", default=None,
                     help="comma-separated columns for a joint (vector) selection")
     sp.add_argument("--p-max", type=int, required=True)
     sp.add_argument("--criterion", choices=("bic", "aic"), default="bic")
-    sp.set_defaults(handler=_cmd_select_lag)
 
-    sp = sub.add_parser("forecast", help="iterated point forecasts from an AR(p)")
-    _add_input_options(sp)
+    sp = _subcommand(sub, "forecast", _cmd_forecast, "iterated point forecasts from an AR(p)")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--horizon", type=int, required=True)
     sp.add_argument("--emit-csv", default=None)
-    sp.set_defaults(handler=_cmd_forecast)
 
-    sp = sub.add_parser("adf", help="augmented Dickey-Fuller unit-root test")
-    _add_input_options(sp)
+    sp = _subcommand(sub, "adf", _cmd_adf, "augmented Dickey-Fuller unit-root test")
     sp.add_argument("--det", choices=("drift", "trend"), default="drift")
-    sp.add_argument("--lags", default="auto", help="integer or 'auto' (BIC)")
+    sp.add_argument("--lags", type=_lags, default="auto", help="integer or 'auto' (BIC)")
     sp.add_argument("--cv-file", default=None)
-    sp.set_defaults(handler=_cmd_adf)
 
-    sp = sub.add_parser("chow", help="break test at a known date")
-    _add_input_options(sp)
+    sp = _subcommand(sub, "chow", _cmd_chow, "break test at a known date")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--tau", type=int, required=True,
                     help="0-based break position within the series")
-    sp.set_defaults(handler=_cmd_chow)
 
-    sp = sub.add_parser("qlr", help="sup-F break test over a trimmed window")
-    _add_input_options(sp)
+    sp = _subcommand(sub, "qlr", _cmd_qlr, "sup-F break test over a trimmed window")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--trim", type=float, default=0.15)
     sp.add_argument("--cv-file", default=None)
     sp.add_argument("--emit-csv", default=None, help="write the F-statistic scan as CSV")
-    sp.set_defaults(handler=_cmd_qlr)
 
-    sp = sub.add_parser("fit-var", help="estimate a VAR(p) equation by equation")
-    _add_input_options(sp, single_col=False)
+    sp = _subcommand(sub, "fit-var", _cmd_fit_var,
+                     "estimate a VAR(p) equation by equation", col=False)
     sp.add_argument("--cols", default=None, help="comma-separated columns (default: all)")
     sp.add_argument("--p", type=int, required=True)
-    sp.set_defaults(handler=_cmd_fit_var)
 
-    sp = sub.add_parser("forecast-var", help="iterated multistep VAR forecasts")
-    _add_input_options(sp, single_col=False)
+    sp = _subcommand(sub, "forecast-var", _cmd_forecast_var,
+                     "iterated multistep VAR forecasts", col=False)
     sp.add_argument("--cols", default=None)
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--horizon", type=int, required=True)
     sp.add_argument("--emit-csv", default=None)
-    sp.set_defaults(handler=_cmd_forecast_var)
 
-    sp = sub.add_parser("granger", help="Granger-causality F-test")
-    _add_input_options(sp, single_col=False)
+    sp = _subcommand(sub, "granger", _cmd_granger, "Granger-causality F-test", col=False)
     sp.add_argument("--cause", required=True)
     sp.add_argument("--effect", required=True)
     sp.add_argument("--p", type=int, required=True)
-    sp.set_defaults(handler=_cmd_granger)
 
-    sp = sub.add_parser("integration-order", help="classify I(0)/I(1)/I(2) by ADF ladder")
-    _add_input_options(sp)
+    sp = _subcommand(sub, "integration-order", _cmd_integration_order,
+                     "classify I(0)/I(1)/I(2) by ADF ladder")
     sp.add_argument("--det", choices=("drift", "trend"), default="drift")
-    sp.add_argument("--lags", default="auto")
+    sp.add_argument("--lags", type=_lags, default="auto")
     sp.add_argument("--max-order", type=int, default=2)
     sp.add_argument("--level", type=float, default=0.05)
     sp.add_argument("--cv-file", default=None)
-    sp.set_defaults(handler=_cmd_integration_order)
 
-    sp = sub.add_parser("coint", help="Engle-Granger two-step cointegration test")
-    _add_input_options(sp, single_col=False)
+    sp = _subcommand(sub, "coint", _cmd_coint,
+                     "Engle-Granger two-step cointegration test", col=False)
     sp.add_argument("--y", required=True, help="dependent column")
     sp.add_argument("--x", required=True, help="comma-separated regressor columns (1-4)")
     sp.add_argument("--cv-file", default=None)
-    sp.set_defaults(handler=_cmd_coint)
 
-    sp = sub.add_parser("dols", help="dynamic OLS estimate of a cointegrating relation")
-    _add_input_options(sp, single_col=False)
+    sp = _subcommand(sub, "dols", _cmd_dols,
+                     "dynamic OLS estimate of a cointegrating relation", col=False)
     sp.add_argument("--y", required=True)
     sp.add_argument("--x", required=True)
     sp.add_argument("--p", type=int, required=True, help="lead/lag window half-width")
     sp.add_argument("--level-terms", action="store_true",
                     help="use level leads/lags instead of differences")
-    sp.set_defaults(handler=_cmd_dols)
 
-    sp = sub.add_parser("simulate", help="simulate a data-generating process to CSV")
+    sp = _subcommand(sub, "simulate", _cmd_simulate,
+                     "simulate a data-generating process to CSV", csv=False)
     sp.add_argument("--kind", required=True,
                     choices=("white-noise", "ar", "ma", "arma", "random-walk",
                              "random-walk-drift", "var", "cointegrated-pair",
@@ -753,12 +706,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--innovation-cov", default=None, help="JSON k x k matrix")
     sp.add_argument("--names", default=None)
     sp.add_argument("--burn-in", type=int, default=None)
-    sp.set_defaults(handler=_cmd_simulate)
 
-    sp = sub.add_parser("mc-critical", help="simulate null critical values")
-    sp.add_argument("--statistic", required=True, choices=("adf", "qlr", "egadf"))
+    sp = _subcommand(sub, "mc-critical", _cmd_mc_critical,
+                     "simulate null critical values", csv=False)
+    sp.add_argument("--statistic", required=True, choices=_SIMULATED)
     sp.add_argument("--det", choices=("drift", "trend", "none"), default="drift")
-    sp.add_argument("--lags", default="auto")
+    sp.add_argument("--lags", type=_lags, default="auto")
     sp.add_argument("--p", type=int, default=1)
     sp.add_argument("--trim", type=float, default=0.15)
     sp.add_argument("--m", type=int, default=1, help="regressor count for egadf")
@@ -768,7 +721,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--workers", type=int, default=1)
     sp.add_argument("--levels", default="0.1,0.05,0.01")
     sp.add_argument("--out", default=None, help="critical-value file to create or update")
-    sp.set_defaults(handler=_cmd_mc_critical)
 
     return parser
 
@@ -779,7 +731,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        report = args.handler(args, argv)
+        dataset = (ingest_csv(args.csv, decimal_comma=args.decimal_comma)
+                   if "csv" in args else None)
+        result, used, seed = args.handler(args, dataset)
+        report = _envelope(args.command, argv, result, dataset, used, seed)
     except DomainError as exc:
         print(str(exc), file=sys.stderr)
         return 1

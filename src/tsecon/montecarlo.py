@@ -7,14 +7,9 @@ so results are identical no matter how replications are batched across
 workers; sorting before quantile extraction removes the remaining order
 dependence.
 
-Three statistic kinds are registered:
-
-  adf    params {"deterministic": drift|trend|none, "lags": int or "auto"}
-         null: driftless standard Gaussian random walk
-  qlr    params {"p": int, "trim": float}
-         null: Gaussian white noise through the AR(p) break scan
-  egadf  params {"n_regressors": 1..4}
-         null: independent driftless Gaussian random walks
+`_STATISTICS` below is the one list of tests: each entry gives the public
+report call size/power studies run and, for the statistics that can be
+simulated, their parameters, tail, null process and batched evaluator.
 
 The batched evaluators reproduce the public test-statistic paths (same
 regressions, same lag-selection rule); equivalence is covered by tests.
@@ -24,7 +19,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -112,36 +107,37 @@ def _batched_adf_stat(paths: np.ndarray, deterministic: str, lags) -> np.ndarray
     return stats
 
 
+def _null_paths(template, T: int, seed: int, start: int, stop: int, columns: int = 1):
+    """Null sample paths of replications start..stop-1, shape (R, T, columns).
+
+    Replication i draws its columns in order from its own stream rng_for(seed, i).
+    """
+    paths = np.empty((stop - start, T, columns))
+    for i in range(stop - start):
+        rng = rng_for(seed, start + i)
+        for c in range(columns):
+            paths[i, :, c] = sample_values(template, T, rng)
+    return paths
+
+
 def _adf_chunk(parsed, T: int, seed: int, start: int, stop: int) -> np.ndarray:
     deterministic, lags = parsed
-    template = RandomWalk()
-    paths = np.empty((stop - start, T))
-    for i in range(stop - start):
-        paths[i] = sample_values(template, T, rng_for(seed, start + i))
+    paths = _null_paths(RandomWalk(), T, seed, start, stop)[:, :, 0]
     return _batched_adf_stat(paths, deterministic, lags)
 
 
 def _qlr_chunk(parsed, T: int, seed: int, start: int, stop: int) -> np.ndarray:
     p, trim = parsed
-    template = WhiteNoise()
-    paths = np.empty((stop - start, T))
-    for i in range(stop - start):
-        paths[i] = sample_values(template, T, rng_for(seed, start + i))
+    paths = _null_paths(WhiteNoise(), T, seed, start, stop)[:, :, 0]
     taus = qlr_window(T, p, trim)
     return chow_f_scan(paths, p, taus).max(axis=1)
 
 
 def _egadf_chunk(parsed, T: int, seed: int, start: int, stop: int) -> np.ndarray:
     m = parsed
-    template = RandomWalk()
-    R = stop - start
-    paths = np.empty((R, T, m + 1))
-    for i in range(R):
-        rng = rng_for(seed, start + i)
-        for c in range(m + 1):  # column 0 is the regressand
-            paths[i, :, c] = sample_values(template, T, rng)
-    y = paths[:, :, 0]
-    X = np.concatenate([np.ones((R, T, 1)), paths[:, :, 1:]], axis=2)
+    paths = _null_paths(RandomWalk(), T, seed, start, stop, columns=m + 1)
+    y = paths[:, :, 0]  # column 0 is the regressand
+    X = np.concatenate([np.ones((stop - start, T, 1)), paths[:, :, 1:]], axis=2)
     G = np.einsum("rti,rtj->rij", X, X)
     h = np.einsum("rti,rt->ri", X, y)
     beta = np.linalg.solve(G, h[..., None])[..., 0]
@@ -149,57 +145,145 @@ def _egadf_chunk(parsed, T: int, seed: int, start: int, stop: int) -> np.ndarray
     return _batched_adf_stat(residuals, "none", "auto")
 
 
-def _parse_params(statistic: str, params: Mapping):
-    """Validate params, returning (canonical params, parsed args, tail, null description)."""
+# --- parameters and public report calls ---------------------------------------
+
+_REQUIRED = object()
+
+
+def _take(statistic: str, params, **defaults) -> list:
+    """Values of the named parameters, in order, with defaults; rejects any others."""
     params = dict(params or {})
-    if statistic == "adf":
-        deterministic = params.pop("deterministic", "drift")
-        lags = params.pop("lags", "auto")
-        if params:
-            raise DomainError(f"unknown adf parameters: {sorted(params)}")
-        if deterministic not in _K_DET:
-            raise DomainError(f"deterministic must be one of {sorted(_K_DET)}")
-        if lags != "auto":
-            lags = int(lags)
-            if lags < 0:
-                raise DomainError("lags must be nonnegative or 'auto'")
-        canon = {"deterministic": deterministic, "lags": lags}
-        return canon, (deterministic, lags), "left", "driftless standard Gaussian random walk"
-    if statistic == "qlr":
-        try:
-            p = int(params.pop("p"))
-            trim = float(params.pop("trim", 0.15))
-        except KeyError as missing:
-            raise DomainError(f"qlr requires parameter {missing}") from None
-        if params:
-            raise DomainError(f"unknown qlr parameters: {sorted(params)}")
-        if p < 1:
-            raise DomainError("p must be a positive integer")
-        if not 0.0 < trim < 0.5:
-            raise DomainError("trim must lie strictly between 0 and 0.5")
-        canon = {"p": p, "trim": f"{trim:g}"}
-        return canon, (p, trim), "right", "Gaussian white noise"
-    if statistic == "egadf":
-        try:
-            m = int(params.pop("n_regressors"))
-        except KeyError as missing:
-            raise DomainError(f"egadf requires parameter {missing}") from None
-        if params:
-            raise DomainError(f"unknown egadf parameters: {sorted(params)}")
-        if m < 1:
-            raise DomainError("n_regressors must be a positive integer")
-        canon = {"n_regressors": m}
-        return canon, m, "left", "independent driftless Gaussian random walks"
-    raise DomainError(
-        f"unknown statistic kind {statistic!r}; choose from adf, qlr, egadf"
-    )
+    values = []
+    for name, default in defaults.items():
+        if name in params:
+            values.append(params.pop(name))
+        elif default is _REQUIRED:
+            raise DomainError(f"{statistic} requires parameter {name!r}")
+        else:
+            values.append(default)
+    if params:
+        raise DomainError(f"unknown {statistic} parameters: {sorted(params)}")
+    return values
 
 
-_CHUNK_RUNNERS = {"adf": _adf_chunk, "qlr": _qlr_chunk, "egadf": _egadf_chunk}
+def _adf_params(params):
+    deterministic, lags = _take("adf", params, deterministic="drift", lags="auto")
+    if deterministic not in _K_DET:
+        raise DomainError(f"deterministic must be one of {sorted(_K_DET)}")
+    if lags != "auto":
+        lags = int(lags)
+        if lags < 0:
+            raise DomainError("lags must be nonnegative or 'auto'")
+    return {"deterministic": deterministic, "lags": lags}, (deterministic, lags)
 
 
-def _chunk_stats(statistic: str, parsed, T_sim: int, seed: int, start: int, stop: int):
-    return _CHUNK_RUNNERS[statistic](parsed, T_sim, seed, start, stop)
+def _qlr_params(params):
+    p, trim = _take("qlr", params, p=_REQUIRED, trim=0.15)
+    p, trim = int(p), float(trim)
+    if p < 1:
+        raise DomainError("p must be a positive integer")
+    if not 0.0 < trim < 0.5:
+        raise DomainError("trim must lie strictly between 0 and 0.5")
+    return {"p": p, "trim": f"{trim:g}"}, (p, trim)
+
+
+def _egadf_params(params):
+    (m,) = _take("egadf", params, n_regressors=_REQUIRED)
+    m = int(m)
+    if m < 1:
+        raise DomainError("n_regressors must be a positive integer")
+    return {"n_regressors": m}, m
+
+
+def _adf_report(data, cv_source, params: Mapping):
+    spec = AdfSpec(lags=params.get("lags", "auto"),
+                   deterministic=params.get("deterministic", "drift"))
+    return adf_test(data, spec, cv_source=cv_source)
+
+
+def _qlr_report(data, cv_source, params: Mapping):
+    p, trim = int(params["p"]), float(params.get("trim", 0.15))
+    return qlr_test(data, p=p, trim=trim, cv_source=cv_source)
+
+
+def _chow_report(data, cv_source, params: Mapping):
+    return chow_test(data, p=int(params["p"]), tau=int(params["tau"]))
+
+
+def _granger_report(data, cv_source, params: Mapping):
+    return granger_test(data, cause=params["cause"], effect=params["effect"], p=int(params["p"]))
+
+
+def _egadf_report(data, cv_source, params: Mapping):
+    y = data[params.get("y", "y")]
+    xs = [data[nm] for nm in params.get("xs", ["x"])]
+    return eg_adf_test(y, xs, cv_source=cv_source).eg_adf  # None for an exact relation
+
+
+# --- the registry -------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Statistic:
+    """Everything the engine and the CLI need to know about one test.
+
+    Only simulated statistics have `parse`, `chunk` and `flags`:
+      parse   params -> (canonical cache params, the chunk runner's first argument)
+      chunk   (parsed, T, seed, start, stop) -> statistics of those null replications
+      flags   (mc-critical option dest, parameter name) pairs
+    """
+
+    tail: str
+    report: Callable  # (data, cv_source, params) -> TestReport, None meaning reject
+    null_dgp: str = ""
+    parse: Callable | None = None
+    chunk: Callable | None = None
+    flags: tuple = ()
+
+
+_STATISTICS = {
+    "adf": _Statistic(
+        "left", _adf_report, "driftless standard Gaussian random walk",
+        _adf_params, _adf_chunk, (("det", "deterministic"), ("lags", "lags")),
+    ),
+    "qlr": _Statistic(
+        "right", _qlr_report, "Gaussian white noise",
+        _qlr_params, _qlr_chunk, (("p", "p"), ("trim", "trim")),
+    ),
+    "chow": _Statistic("right", _chow_report),
+    "granger": _Statistic("right", _granger_report),
+    "egadf": _Statistic(
+        "left", _egadf_report, "independent driftless Gaussian random walks",
+        _egadf_params, _egadf_chunk, (("m", "n_regressors"),),
+    ),
+}
+_SIMULATED = tuple(name for name, s in _STATISTICS.items() if s.chunk is not None)
+
+
+def _lookup(name: str, names, noun: str) -> _Statistic:
+    if name not in names:
+        raise DomainError(f"unknown {noun} {name!r}; choose from {', '.join(names)}")
+    return _STATISTICS[name]
+
+
+# --- scheduling ---------------------------------------------------------------
+
+
+def _check_schedule(workers, chunk_size) -> None:
+    if not isinstance(workers, (int, np.integer)) or workers < 1:
+        raise DomainError("workers must be a positive integer")
+    if not isinstance(chunk_size, (int, np.integer)) or chunk_size < 1:
+        raise DomainError("chunk_size must be a positive integer")
+
+
+def _fan_out(fn, args: tuple, total: int, chunk_size: int, workers: int) -> list:
+    """[fn(*args, start, stop)] over consecutive chunks of range(total), in order."""
+    bounds = [(s, min(s + chunk_size, total)) for s in range(0, total, chunk_size)]
+    if workers == 1:
+        return [fn(*args, a, b) for a, b in bounds]
+    with ProcessPoolExecutor(max_workers=int(workers)) as pool:
+        futures = [pool.submit(fn, *args, a, b) for a, b in bounds]
+        return [f.result() for f in futures]
 
 
 # --- critical values ----------------------------------------------------------
@@ -258,28 +342,18 @@ def mc_critical_values(
         raise DomainError("published critical values need at least 1,000 replications")
     if not isinstance(T_sim, (int, np.integer)) or T_sim < 25:
         raise DomainError("simulation length must be at least 25")
-    if not isinstance(workers, (int, np.integer)) or workers < 1:
-        raise DomainError("workers must be a positive integer")
-    if not isinstance(chunk_size, (int, np.integer)) or chunk_size < 1:
-        raise DomainError("chunk_size must be a positive integer")
+    _check_schedule(workers, chunk_size)
     levels = tuple(float(lv) for lv in levels)
     for lv in levels:
         if not 0.0 < lv < 1.0:
             raise DomainError("levels must lie strictly between 0 and 1")
-    canon, parsed, tail, null_dgp = _parse_params(statistic, params)
-    bounds = [(s, min(s + chunk_size, reps)) for s in range(0, reps, chunk_size)]
-    if workers == 1:
-        blocks = [_chunk_stats(statistic, parsed, int(T_sim), int(seed), a, b) for a, b in bounds]
-    else:
-        with ProcessPoolExecutor(max_workers=int(workers)) as pool:
-            futures = [
-                pool.submit(_chunk_stats, statistic, parsed, int(T_sim), int(seed), a, b)
-                for a, b in bounds
-            ]
-            blocks = [f.result() for f in futures]
+    entry = _lookup(statistic, _SIMULATED, "statistic kind")
+    canon, parsed = entry.parse(params)
+    blocks = _fan_out(entry.chunk, (parsed, int(T_sim), int(seed)), int(reps), chunk_size, workers)
     stats = np.sort(np.concatenate(blocks))
     quantiles = {
-        lv: float(np.quantile(stats, lv if tail == "left" else 1.0 - lv)) for lv in levels
+        lv: float(np.quantile(stats, lv if entry.tail == "left" else 1.0 - lv))
+        for lv in levels
     }
     summary = {
         "count": int(reps),
@@ -291,14 +365,14 @@ def mc_critical_values(
     return McRun(
         statistic=statistic,
         params=canon,
-        tail=tail,
+        tail=entry.tail,
         T_sim=int(T_sim),
         reps=int(reps),
         seed=int(seed),
         levels=levels,
         quantiles=quantiles,
         summary=summary,
-        null_dgp=null_dgp,
+        null_dgp=entry.null_dgp,
     )
 
 
@@ -327,46 +401,19 @@ def _draw(spec, T: int, master: int, branch: int, index: int):
     return simulate(replace(spec, seed=_derived_seed(master, (branch, index))), T)
 
 
-def _rejected(test: str, data, level: float, cv_source, params: Mapping) -> bool:
-    if test == "adf":
-        spec = AdfSpec(
-            lags=params.get("lags", "auto"),
-            deterministic=params.get("deterministic", "drift"),
-        )
-        report = adf_test(data, spec, cv_source=cv_source)
-    elif test == "qlr":
-        report = qlr_test(
-            data, p=int(params["p"]), trim=float(params.get("trim", 0.15)), cv_source=cv_source
-        )
-    elif test == "chow":
-        report = chow_test(data, p=int(params["p"]), tau=int(params["tau"]))
-    elif test == "granger":
-        report = granger_test(
-            data, cause=params["cause"], effect=params["effect"], p=int(params["p"])
-        )
-    elif test == "egadf":
-        y = data[params.get("y", "y")]
-        xs = [data[nm] for nm in params.get("xs", ["x"])]
-        fit = eg_adf_test(y, xs, cv_source=cv_source)
-        if fit.degenerate:  # an exact relation is the strongest possible rejection
-            return True
-        report = fit.eg_adf
-    else:
-        raise DomainError(
-            f"unknown test {test!r}; choose from adf, qlr, chow, granger, egadf"
-        )
-    if level not in report.decision:
-        raise DomainError(f"level {level} not among computed levels {sorted(report.decision)}")
-    return report.decision[level] == "reject"
-
-
 def _rejection_counts(test, null_spec, alt_spec, T, master, level, cv_source, params, start, stop):
-    null_hits = 0
-    alt_hits = 0
+    report_of = _STATISTICS[test].report
+    hits = [0, 0]
     for i in range(start, stop):
-        null_hits += _rejected(test, _draw(null_spec, T, master, 0, i), level, cv_source, params)
-        alt_hits += _rejected(test, _draw(alt_spec, T, master, 1, i), level, cv_source, params)
-    return null_hits, alt_hits
+        for branch, spec in enumerate((null_spec, alt_spec)):
+            report = report_of(_draw(spec, T, master, branch, i), cv_source, params)
+            if report is not None and level not in report.decision:
+                raise DomainError(
+                    f"level {level} not among computed levels {sorted(report.decision)}"
+                )
+            # no report means an exact relation: the strongest possible rejection
+            hits[branch] += report is None or report.decision[level] == "reject"
+    return tuple(hits)
 
 
 @dataclass(frozen=True)
@@ -404,18 +451,11 @@ def size_power_suite(
     """
     if not isinstance(reps, (int, np.integer)) or reps < 1:
         raise DomainError("reps must be a positive integer")
-    params = dict(params or {})
-    bounds = [(s, min(s + chunk_size, reps)) for s in range(0, reps, chunk_size)]
-    args = [
-        (test, null_spec, alt_spec, int(T), int(seed), float(level), cv_source, params, a, b)
-        for a, b in bounds
-    ]
-    if workers == 1:
-        counts = [_rejection_counts(*a) for a in args]
-    else:
-        with ProcessPoolExecutor(max_workers=int(workers)) as pool:
-            futures = [pool.submit(_rejection_counts, *a) for a in args]
-            counts = [f.result() for f in futures]
+    _check_schedule(workers, chunk_size)
+    _lookup(test, tuple(_STATISTICS), "test")
+    args = (test, null_spec, alt_spec, int(T), int(seed), float(level), cv_source,
+            dict(params or {}))
+    counts = _fan_out(_rejection_counts, args, int(reps), chunk_size, workers)
     null_hits = sum(c[0] for c in counts)
     alt_hits = sum(c[1] for c in counts)
     return SizePower(

@@ -206,6 +206,11 @@ def test_exit_code_domain_error(data):
 def test_exit_code_usage_error(data):
     code, _, _ = run_cli("adf", data["rw"], "--det", "quadratic")
     assert code == 2
+    for argv in (("adf", data["rw"]), ("integration-order", data["rw"]),
+                 ("mc-critical", "--statistic", "adf")):
+        code, _, err = run_cli(*argv, "--lags", "foo")
+        assert code == 2
+        assert "expected an integer or 'auto', got 'foo'" in err
     code, _, _ = run_cli()
     assert code == 2
 

@@ -1,6 +1,11 @@
+import importlib.util
+from importlib import resources
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import tsecon.montecarlo
 from tsecon import (
     ArProcess,
     CriticalValueCache,
@@ -15,10 +20,13 @@ from tsecon import (
     qlr_test,
     rng_for,
     sample_values,
+    simulate,
     size_power_suite,
 )
 from tsecon.breaks import chow_f_scan, qlr_window
-from tsecon.montecarlo import _batched_adf_stat
+from tsecon.cli import build_parser
+from tsecon.cvcache import _params_key
+from tsecon.montecarlo import _SIMULATED, _STATISTICS, _batched_adf_stat
 from tsecon.unitroot import adf_statistic
 
 
@@ -188,3 +196,81 @@ def test_size_power_is_seed_reproducible():
     b = size_power_suite(**kwargs)
     c = size_power_suite(**kwargs, workers=2, chunk_size=40)
     assert (a.size, a.power) == (b.size, b.power) == (c.size, c.power)
+
+
+def test_size_power_validates_before_simulating(monkeypatch):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("simulated before validating")
+
+    monkeypatch.setattr(tsecon.montecarlo, "simulate", no_draws)
+    kwargs = dict(test="chow", null_spec=ArProcess(betas=(0.4,)),
+                  alt_spec=InterceptBreakAr(beta0_post=2.0, betas=(0.4,)),
+                  reps=10, T=100, params={"p": 1, "tau": 50})
+    with pytest.raises(DomainError, match="workers must be a positive integer"):
+        size_power_suite(**kwargs, workers=0)
+    with pytest.raises(DomainError, match="chunk_size must be a positive integer"):
+        size_power_suite(**kwargs, chunk_size=0)
+    with pytest.raises(DomainError, match="unknown test 'cusum'; choose from adf, qlr, chow"):
+        size_power_suite(**{**kwargs, "test": "cusum"})
+
+
+def _load_build_cache():
+    path = Path(__file__).resolve().parents[1] / "tools" / "build_cache.py"
+    spec = importlib.util.spec_from_file_location("build_cache", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _walk(seed, label="y"):
+    return TimeSeries(simulate(RandomWalk(seed=seed), 120).values, label=label)
+
+
+# Per simulated statistic: mc_critical_values params and T_sim, the params and
+# data of its size/power report call, which must resolve the simulated entry.
+_ROUND_TRIPS = {
+    "adf": ({"deterministic": "trend", "lags": 1}, 50,
+            {"deterministic": "trend", "lags": 1}, lambda: _walk(1)),
+    "qlr": ({"p": 2, "trim": 0.2}, 80,
+            {"p": 2, "trim": 0.2}, lambda: simulate(WhiteNoise(seed=2), 120)),
+    "egadf": ({"n_regressors": 2}, 50,
+              {"y": "y", "xs": ["x1", "x2"]},
+              lambda: {"y": _walk(3), "x1": _walk(4, "x1"), "x2": _walk(5, "x2")}),
+}
+
+
+@pytest.mark.parametrize("name", _SIMULATED)
+def test_registry_entry_is_wired_end_to_end(name):
+    stat = _STATISTICS[name]
+    assert stat.tail in ("left", "right") and stat.null_dgp
+
+    # simulated quantiles, cached in memory, are what the public test resolves
+    mc_params, T_sim, sp_params, data = _ROUND_TRIPS[name]
+    run = mc_critical_values(name, mc_params, T_sim=T_sim, reps=1_000, seed=17)
+    entry = run.to_entry()
+    assert entry.tail == stat.tail
+    report = stat.report(data(), CriticalValueCache(entries=[entry]), sp_params)
+    assert report.tail == stat.tail
+    assert report.critical_values == entry.quantiles
+    assert report.cv_provenance == entry.provenance
+
+    # the CLI offers exactly the simulated statistics
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    statistic = next(a for a in sub.choices["mc-critical"]._actions if a.dest == "statistic")
+    assert tuple(statistic.choices) == _SIMULATED
+
+    # every packaged configuration parses and matches the packaged file
+    tool = _load_build_cache()
+    assert {row[0] for row in tool.MC_TARGETS} <= set(_SIMULATED)
+    ref = resources.files("tsecon").joinpath("data/critical_values.json")
+    with resources.as_file(ref) as path:
+        packaged = CriticalValueCache.load(str(path))
+    for statistic_name, params, seed in tool.MC_TARGETS:
+        if statistic_name != name:
+            continue
+        canon, _ = stat.parse(params)
+        cached = packaged.entries[_params_key(name, canon)]
+        assert cached.tail == stat.tail
+        assert cached.provenance["seed"] == seed
+        assert cached.provenance["T_sim"] == tool.T_SIM
+        assert cached.provenance["null_dgp"] == stat.null_dgp

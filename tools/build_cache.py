@@ -4,7 +4,9 @@
 Monte Carlo entries (Dickey-Fuller and QLR families) are simulated at
 T_sim = 500 with pinned seeds; the EG-ADF entries ship the published
 table verbatim with paper_table provenance.  Rebuilding with the same
-seeds and reps reproduces the file byte for byte.
+seeds and reps reproduces every quantile; summary means and standard
+deviations can differ in the last digit on another machine or numpy/BLAS
+build.
 
 Usage: python3 tools/build_cache.py [--reps N] [--workers N] [--out PATH]
 """
