@@ -10,7 +10,6 @@ comes from the Monte Carlo critical-value cache.
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats as _stats
 
 from .cvcache import default_cache
 from .errors import DomainError
@@ -54,15 +53,12 @@ def chow_test(series: TimeSeries, p: int, tau: int, levels=DEFAULT_LEVELS) -> Te
     restricted, _ = fit_design(DesignSpec(Level(name), base), data)
     unrestricted, _ = fit_design(DesignSpec(Level(name), base + extra), data)
     ftest = f_statistic(restricted, unrestricted, q=p + 1)
-    cvs = {
-        float(lv): float(_stats.f.ppf(1.0 - lv, ftest.df_num, ftest.df_den)) for lv in levels
-    }
     return make_test_report(
         name="chow",
         statistic=ftest.statistic,
         family={"family": "F", "df_num": ftest.df_num, "df_den": ftest.df_den},
         tail="right",
-        critical_values=cvs,
+        critical_values=ftest.critical_values(levels),
         cv_provenance={"kind": "f_distribution"},
         nuisance={
             "break_position": int(tau),

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .armodel import LagPolynomial, is_stationary
 from .errors import DomainError
@@ -291,6 +290,29 @@ def _default_burn(order: int) -> int:
     return max(50, 10 * order)
 
 
+def _lfilter(b, a, x: np.ndarray) -> np.ndarray:
+    """scipy.signal.lfilter(b, a, x) for a 1-D float x and a[0] == 1, bit for bit.
+
+    Like scipy, it convolves when `a` has one coefficient and otherwise runs
+    the direct form II transposed recursion, with the same operation order.
+    Importing scipy.signal for this one function took over a second.
+    """
+    if len(a) == 1:
+        return np.convolve(b, x)[: len(x)]
+    k = max(len(a), len(b))
+    b = [float(v) for v in b] + [0.0] * (k - len(b))
+    a = [float(v) for v in a] + [0.0] * (k - len(a))
+    z = [0.0] * (k - 1)
+    y = []
+    for xn in x.tolist():
+        yn = z[0] + b[0] * xn
+        for n in range(k - 2):
+            z[n] = z[n + 1] + xn * b[n + 1] - yn * a[n + 1]
+        z[k - 2] = xn * b[k - 1] - yn * a[k - 1]
+        y.append(yn)
+    return np.array(y)
+
+
 def _arma_values(beta0, betas, alphas, sigma2, y0, burn_in, T, rng) -> np.ndarray:
     p, q = len(betas), len(alphas)
     sd = np.sqrt(sigma2)
@@ -316,7 +338,7 @@ def _arma_values(beta0, betas, alphas, sigma2, y0, burn_in, T, rng) -> np.ndarra
     a = np.concatenate([[1.0], -np.asarray(betas, dtype=float)])
     denom = 1.0 - sum(betas)
     mean = beta0 / denom if p else beta0
-    y = mean + lfilter(b, a, shocks)
+    y = mean + _lfilter(b, a, shocks)
     return y[burn:]
 
 
@@ -383,7 +405,7 @@ def sample_values(spec: DgpSpec, T: int, rng: np.random.Generator):
         x = spec.drift * np.arange(1, T + 1) + np.cumsum(u_x)
         e_pre = sd * np.sqrt(1.0 + spec.endogeneity**2) * eps_pre
         e_z = sd * (eps_z + spec.endogeneity * eps_x)
-        z = lfilter([1.0], [1.0, -spec.noise_ar], np.concatenate([e_pre, e_z]))[burn:]
+        z = _lfilter([1.0], [1.0, -spec.noise_ar], np.concatenate([e_pre, e_z]))[burn:]
         y = spec.theta * x + z
         return np.column_stack([y, x])
 

@@ -17,7 +17,6 @@ regressions, same lag-selection rule); equivalence is covered by tests.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping
 
@@ -166,12 +165,27 @@ def _take(statistic: str, params, **defaults) -> list:
     return values
 
 
+def _number(statistic: str, name: str, value, integer: bool = False):
+    """A parameter value as a float, or as an int when `integer`; rejects anything else."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        raise DomainError(
+            f"{statistic} parameter {name!r} must be a number, got {value!r}"
+        ) from None
+    if not integer:
+        return x
+    if not x.is_integer():
+        raise DomainError(f"{statistic} parameter {name!r} must be an integer, got {value!r}")
+    return int(x)
+
+
 def _adf_params(params):
     deterministic, lags = _take("adf", params, deterministic="drift", lags="auto")
     if deterministic not in _K_DET:
         raise DomainError(f"deterministic must be one of {sorted(_K_DET)}")
     if lags != "auto":
-        lags = int(lags)
+        lags = _number("adf", "lags", lags, integer=True)
         if lags < 0:
             raise DomainError("lags must be nonnegative or 'auto'")
     return {"deterministic": deterministic, "lags": lags}, (deterministic, lags)
@@ -179,7 +193,7 @@ def _adf_params(params):
 
 def _qlr_params(params):
     p, trim = _take("qlr", params, p=_REQUIRED, trim=0.15)
-    p, trim = int(p), float(trim)
+    p, trim = _number("qlr", "p", p, integer=True), _number("qlr", "trim", trim)
     if p < 1:
         raise DomainError("p must be a positive integer")
     if not 0.0 < trim < 0.5:
@@ -189,35 +203,63 @@ def _qlr_params(params):
 
 def _egadf_params(params):
     (m,) = _take("egadf", params, n_regressors=_REQUIRED)
-    m = int(m)
+    m = _number("egadf", "n_regressors", m, integer=True)
     if m < 1:
         raise DomainError("n_regressors must be a positive integer")
     return {"n_regressors": m}, m
 
 
-def _adf_report(data, cv_source, params: Mapping):
-    spec = AdfSpec(lags=params.get("lags", "auto"),
-                   deterministic=params.get("deterministic", "drift"))
+# Each report call takes the arguments its `_*_args` parser returned, so
+# size/power studies validate their params once, before any simulation.
+
+
+def _adf_args(params) -> AdfSpec:
+    deterministic, lags = _adf_params(params)[1]
+    return AdfSpec(lags=lags, deterministic=deterministic)
+
+
+def _adf_report(data, cv_source, spec: AdfSpec):
     return adf_test(data, spec, cv_source=cv_source)
 
 
-def _qlr_report(data, cv_source, params: Mapping):
-    p, trim = int(params["p"]), float(params.get("trim", 0.15))
+def _qlr_args(params):
+    return _qlr_params(params)[1]
+
+
+def _qlr_report(data, cv_source, args):
+    p, trim = args
     return qlr_test(data, p=p, trim=trim, cv_source=cv_source)
 
 
-def _chow_report(data, cv_source, params: Mapping):
-    return chow_test(data, p=int(params["p"]), tau=int(params["tau"]))
+def _chow_args(params):
+    p, tau = _take("chow", params, p=_REQUIRED, tau=_REQUIRED)
+    return _number("chow", "p", p, integer=True), _number("chow", "tau", tau, integer=True)
 
 
-def _granger_report(data, cv_source, params: Mapping):
-    return granger_test(data, cause=params["cause"], effect=params["effect"], p=int(params["p"]))
+def _chow_report(data, cv_source, args):
+    p, tau = args
+    return chow_test(data, p=p, tau=tau)
 
 
-def _egadf_report(data, cv_source, params: Mapping):
-    y = data[params.get("y", "y")]
-    xs = [data[nm] for nm in params.get("xs", ["x"])]
-    return eg_adf_test(y, xs, cv_source=cv_source).eg_adf  # None for an exact relation
+def _granger_args(params):
+    cause, effect, p = _take("granger", params, cause=_REQUIRED, effect=_REQUIRED, p=_REQUIRED)
+    return cause, effect, _number("granger", "p", p, integer=True)
+
+
+def _granger_report(data, cv_source, args):
+    cause, effect, p = args
+    return granger_test(data, cause=cause, effect=effect, p=p)
+
+
+def _egadf_args(params):
+    y, xs = _take("egadf", params, y="y", xs=("x",))
+    return y, tuple(xs)
+
+
+def _egadf_report(data, cv_source, args):
+    y, xs = args
+    # eg_adf is None for an exact relation
+    return eg_adf_test(data[y], [data[nm] for nm in xs], cv_source=cv_source).eg_adf
 
 
 # --- the registry -------------------------------------------------------------
@@ -227,6 +269,9 @@ def _egadf_report(data, cv_source, params: Mapping):
 class _Statistic:
     """Everything the engine and the CLI need to know about one test.
 
+      args    size/power params -> the report call's validated arguments
+      report  (data, cv_source, args) -> TestReport, None meaning reject
+
     Only simulated statistics have `parse`, `chunk` and `flags`:
       parse   params -> (canonical cache params, the chunk runner's first argument)
       chunk   (parsed, T, seed, start, stop) -> statistics of those null replications
@@ -234,7 +279,8 @@ class _Statistic:
     """
 
     tail: str
-    report: Callable  # (data, cv_source, params) -> TestReport, None meaning reject
+    args: Callable
+    report: Callable
     null_dgp: str = ""
     parse: Callable | None = None
     chunk: Callable | None = None
@@ -243,17 +289,17 @@ class _Statistic:
 
 _STATISTICS = {
     "adf": _Statistic(
-        "left", _adf_report, "driftless standard Gaussian random walk",
+        "left", _adf_args, _adf_report, "driftless standard Gaussian random walk",
         _adf_params, _adf_chunk, (("det", "deterministic"), ("lags", "lags")),
     ),
     "qlr": _Statistic(
-        "right", _qlr_report, "Gaussian white noise",
+        "right", _qlr_args, _qlr_report, "Gaussian white noise",
         _qlr_params, _qlr_chunk, (("p", "p"), ("trim", "trim")),
     ),
-    "chow": _Statistic("right", _chow_report),
-    "granger": _Statistic("right", _granger_report),
+    "chow": _Statistic("right", _chow_args, _chow_report),
+    "granger": _Statistic("right", _granger_args, _granger_report),
     "egadf": _Statistic(
-        "left", _egadf_report, "independent driftless Gaussian random walks",
+        "left", _egadf_args, _egadf_report, "independent driftless Gaussian random walks",
         _egadf_params, _egadf_chunk, (("m", "n_regressors"),),
     ),
 }
@@ -281,6 +327,9 @@ def _fan_out(fn, args: tuple, total: int, chunk_size: int, workers: int) -> list
     bounds = [(s, min(s + chunk_size, total)) for s in range(0, total, chunk_size)]
     if workers == 1:
         return [fn(*args, a, b) for a, b in bounds]
+    # imported here, so that single-worker runs and CLI start-up do not pay for it
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=int(workers)) as pool:
         futures = [pool.submit(fn, *args, a, b) for a, b in bounds]
         return [f.result() for f in futures]
@@ -401,16 +450,12 @@ def _draw(spec, T: int, master: int, branch: int, index: int):
     return simulate(replace(spec, seed=_derived_seed(master, (branch, index))), T)
 
 
-def _rejection_counts(test, null_spec, alt_spec, T, master, level, cv_source, params, start, stop):
+def _rejection_counts(test, null_spec, alt_spec, T, master, level, cv_source, args, start, stop):
     report_of = _STATISTICS[test].report
     hits = [0, 0]
     for i in range(start, stop):
         for branch, spec in enumerate((null_spec, alt_spec)):
-            report = report_of(_draw(spec, T, master, branch, i), cv_source, params)
-            if report is not None and level not in report.decision:
-                raise DomainError(
-                    f"level {level} not among computed levels {sorted(report.decision)}"
-                )
+            report = report_of(_draw(spec, T, master, branch, i), cv_source, args)
             # no report means an exact relation: the strongest possible rejection
             hits[branch] += report is None or report.decision[level] == "reject"
     return tuple(hits)
@@ -452,9 +497,12 @@ def size_power_suite(
     if not isinstance(reps, (int, np.integer)) or reps < 1:
         raise DomainError("reps must be a positive integer")
     _check_schedule(workers, chunk_size)
-    _lookup(test, tuple(_STATISTICS), "test")
+    entry = _lookup(test, tuple(_STATISTICS), "test")
+    # every report decides at DEFAULT_LEVELS
+    if float(level) not in DEFAULT_LEVELS:
+        raise DomainError(f"level {level} not among computed levels {sorted(DEFAULT_LEVELS)}")
     args = (test, null_spec, alt_spec, int(T), int(seed), float(level), cv_source,
-            dict(params or {}))
+            entry.args(params))
     counts = _fan_out(_rejection_counts, args, int(reps), chunk_size, workers)
     null_hits = sum(c[0] for c in counts)
     alt_hits = sum(c[1] for c in counts)

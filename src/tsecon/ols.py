@@ -279,6 +279,14 @@ class FTest(NamedTuple):
     df_num: int
     df_den: int
 
+    def critical_values(self, levels) -> dict:
+        """Right-tail F(df_num, df_den) critical values, keyed by level."""
+        # imported here so that importing tsecon loads no scipy module;
+        # scipy.stats.f.ppf evaluates this same function
+        from scipy.special import fdtri
+
+        return {float(lv): float(fdtri(self.df_num, self.df_den, 1.0 - lv)) for lv in levels}
+
 
 def solve_ols(X: np.ndarray, y: np.ndarray, column_names: Sequence[str] | None = None) -> OlsFit:
     """Solve min ||y - X b|| by orthogonal decomposition.

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy import stats as _stats
 
 from .armodel import ForecastResult, iterate_linear_forecast
 from .dgp import companion_matrix
@@ -260,15 +259,12 @@ def granger_test(
     restricted, _ = fit_design(DesignSpec(Level(effect), own), pair)
     unrestricted, _ = fit_design(DesignSpec(Level(effect), own + cross), pair)
     ftest = f_statistic(restricted, unrestricted, q=p)
-    cvs = {
-        float(lv): float(_stats.f.ppf(1.0 - lv, ftest.df_num, ftest.df_den)) for lv in levels
-    }
     return make_test_report(
         name="granger",
         statistic=ftest.statistic,
         family={"family": "F", "df_num": ftest.df_num, "df_den": ftest.df_den},
         tail="right",
-        critical_values=cvs,
+        critical_values=ftest.critical_values(levels),
         cv_provenance={"kind": "f_distribution"},
         nuisance={
             "cause": cause,

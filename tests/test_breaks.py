@@ -7,13 +7,16 @@ from tsecon import (
     DomainError,
     InterceptBreakAr,
     TimeSeries,
+    WhiteNoise,
     chow_f_scan,
     chow_test,
+    granger_test,
     qlr_test,
     qlr_window,
     simulate,
 )
 from tsecon.ols import solve_ols
+from tsecon.report import DEFAULT_LEVELS
 
 
 def split_regression_f(values, p, tau):
@@ -49,6 +52,27 @@ def test_chow_report_fields():
     assert rep.nuisance["regime_sizes"] == [75, 74]
     for lv, cv in rep.critical_values.items():
         assert cv == pytest.approx(stats.f.ppf(1 - lv, 2, 145), rel=1e-12)
+
+
+@pytest.mark.parametrize("d2", [5, 40, 145, 494, 4990])
+@pytest.mark.parametrize("d1", [1, 2, 3, 5, 9])
+def test_f_critical_values_equal_scipy_stats_exactly(d1, d2):
+    def noise(seed, T, label):
+        return TimeSeries(simulate(WhiteNoise(seed=seed), T).values, label=label)
+
+    expected = {lv: float(stats.f.ppf(1 - lv, d1, d2)) for lv in DEFAULT_LEVELS}
+    # granger: d1 = p restrictions, d2 = (T - p) - (1 + 2p)
+    p = d1
+    T = d2 + 3 * p + 1
+    reports = [granger_test({"x": noise(1, T, "x"), "y": noise(2, T, "y")},
+                            cause="x", effect="y", p=p)]
+    if d1 >= 2:  # chow: d1 = p + 1 restrictions, d2 = (T - p) - 2(p + 1)
+        p = d1 - 1
+        T = d2 + 3 * p + 2
+        reports.append(chow_test(noise(3, T, "y"), p=p, tau=p - 1 + (T - p) // 2))
+    for rep in reports:
+        assert (rep.family["df_num"], rep.family["df_den"]) == (d1, d2)
+        assert rep.critical_values == expected
 
 
 def test_chow_detects_planted_break():

@@ -8,7 +8,11 @@ columns, non-numeric columns, blank cells, decimal commas) must hold.
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 from jsonschema import Draft202012Validator
@@ -93,6 +97,23 @@ def test_every_subcommand_report_validates(data, tmp_path):
         assert report["command"] == argv[0]
         assert report["format_version"] == 1
         assert report["toolkit_version"] == tsecon.__version__
+
+
+def test_import_loads_no_scipy_and_no_process_pool():
+    # a one-shot CLI call pays for every module that importing tsecon.cli
+    # loads; scipy and the process pool load only where they are used
+    code = (
+        "import sys, tsecon, tsecon.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' "
+        "or m == 'concurrent.futures.process'))"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_envelope_input_block(data):

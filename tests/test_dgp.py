@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.signal import lfilter
 
 from tsecon import (
     ArmaProcess,
@@ -17,6 +18,7 @@ from tsecon import (
     sample_values,
     simulate,
 )
+from tsecon.dgp import _lfilter
 
 
 def test_simulate_is_seed_deterministic():
@@ -46,6 +48,21 @@ def test_arma_with_no_ar_part_equals_pure_ma():
     ma = sample_values(MaProcess(alpha0=0.2, alphas=(0.5,)), 150, rng_for(6))
     arma = sample_values(ArmaProcess(beta0=0.2, betas=(), alphas=(0.5,)), 150, rng_for(6))
     assert np.array_equal(ma, arma)
+
+
+@pytest.mark.parametrize("p", [0, 1, 2, 4])
+@pytest.mark.parametrize("q", [0, 1, 3])
+def test_filter_equals_scipy_lfilter_bit_for_bit(p, q):
+    # scipy's lfilter is the reference: simulated paths must not move by a bit
+    rng = np.random.default_rng(100 * p + q)
+    for T in (1, 2, 7, 300):
+        b = np.concatenate([[1.0], -rng.uniform(-0.9, 0.9, q)])
+        a = np.concatenate([[1.0], -rng.uniform(-0.9, 0.9, p) / max(p, 1)])
+        x = rng.uniform(0.1, 3.0) * rng.standard_normal(T)
+        expected = lfilter(b, a, x)
+        got = _lfilter(b, a, x)
+        assert np.array_equal(got, expected)
+        assert np.array_equal(np.signbit(got), np.signbit(expected))
 
 
 def test_random_walk_differences_are_the_innovations():

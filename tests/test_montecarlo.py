@@ -202,7 +202,8 @@ def test_size_power_validates_before_simulating(monkeypatch):
     def no_draws(*args, **kwargs):
         raise AssertionError("simulated before validating")
 
-    monkeypatch.setattr(tsecon.montecarlo, "simulate", no_draws)
+    for name in ("simulate", "rng_for", "sample_values"):
+        monkeypatch.setattr(tsecon.montecarlo, name, no_draws)
     kwargs = dict(test="chow", null_spec=ArProcess(betas=(0.4,)),
                   alt_spec=InterceptBreakAr(beta0_post=2.0, betas=(0.4,)),
                   reps=10, T=100, params={"p": 1, "tau": 50})
@@ -212,6 +213,50 @@ def test_size_power_validates_before_simulating(monkeypatch):
         size_power_suite(**kwargs, chunk_size=0)
     with pytest.raises(DomainError, match="unknown test 'cusum'; choose from adf, qlr, chow"):
         size_power_suite(**{**kwargs, "test": "cusum"})
+    with pytest.raises(DomainError, match=r"level 0.02 not among computed levels"):
+        size_power_suite(**kwargs, level=0.02)
+
+    # report params: missing, unknown or not a number of the right kind
+    noise = dict(null_spec=WhiteNoise(), alt_spec=WhiteNoise(), reps=1, T=100)
+    bad_params = [
+        ("qlr", {}, "qlr requires parameter 'p'"),
+        ("qlr", {"p": 1, "lags": 2}, r"unknown qlr parameters: \['lags'\]"),
+        ("qlr", {"p": "abc"}, "qlr parameter 'p' must be a number"),
+        ("chow", {"p": 1}, "chow requires parameter 'tau'"),
+        ("chow", {"p": 1, "tau": 50.5}, "chow parameter 'tau' must be an integer"),
+        ("granger", {"cause": "x", "effect": "y"}, "granger requires parameter 'p'"),
+        ("granger", {"cause": "x", "effect": "y", "p": 1, "q": 2},
+         r"unknown granger parameters: \['q'\]"),
+        ("adf", {"lags": "x"}, "adf parameter 'lags' must be a number"),
+        ("adf", {"deterministic": "none"}, "deterministic must be 'drift' or 'trend'"),
+        ("egadf", {"y": "y", "x": ["x"]}, r"unknown egadf parameters: \['x'\]"),
+    ]
+    for test, params, message in bad_params:
+        with pytest.raises(DomainError, match=message):
+            size_power_suite(test, params=params, **noise)
+
+    # the same parsers guard mc_critical_values, which draws through rng_for
+    bad_mc = [
+        ("qlr", {"p": "abc"}, "qlr parameter 'p' must be a number, got 'abc'"),
+        ("qlr", {"p": 1, "trim": "wide"}, "qlr parameter 'trim' must be a number"),
+        ("adf", {"lags": "x"}, "adf parameter 'lags' must be a number, got 'x'"),
+        ("adf", {"lags": 1.5}, "adf parameter 'lags' must be an integer, got 1.5"),
+        ("egadf", {"n_regressors": 2.7}, "egadf parameter 'n_regressors' must be an integer"),
+        ("egadf", {"n_regressors": None}, "egadf parameter 'n_regressors' must be a number"),
+    ]
+    for statistic, params, message in bad_mc:
+        with pytest.raises(DomainError, match=message):
+            mc_critical_values(statistic, params, T_sim=50, reps=1_000, seed=1)
+
+    # integral values keep today's canonical params, and so today's cache keys
+    for statistic, a, b, canon in [
+        ("qlr", {"p": "2", "trim": "0.2"}, {"p": 2.0, "trim": 0.2}, {"p": 2, "trim": "0.2"}),
+        ("adf", {"lags": "3"}, {"lags": np.int64(3)}, {"deterministic": "drift", "lags": 3}),
+        ("egadf", {"n_regressors": "3"}, {"n_regressors": 3}, {"n_regressors": 3}),
+    ]:
+        parse = _STATISTICS[statistic].parse
+        assert parse(a)[0] == parse(b)[0] == canon
+        assert all(type(v) is type(canon[k]) for k, v in parse(a)[0].items())
 
 
 def _load_build_cache():
@@ -249,7 +294,7 @@ def test_registry_entry_is_wired_end_to_end(name):
     run = mc_critical_values(name, mc_params, T_sim=T_sim, reps=1_000, seed=17)
     entry = run.to_entry()
     assert entry.tail == stat.tail
-    report = stat.report(data(), CriticalValueCache(entries=[entry]), sp_params)
+    report = stat.report(data(), CriticalValueCache(entries=[entry]), stat.args(sp_params))
     assert report.tail == stat.tail
     assert report.critical_values == entry.quantiles
     assert report.cv_provenance == entry.provenance
