@@ -293,12 +293,13 @@ def _cmd_fit_ar(args, ds):
 
 
 def _cmd_select_lag(args, ds):
-    if args.cols is not None and len(_split_names(args.cols, "--cols")) > 1:
+    names = _split_names(args.cols, "--cols") if args.cols is not None else [args.col]
+    if len(names) > 1:
         data = _pick_many(ds, args.cols)
         table = select_var_order(data, args.p_max, criterion=args.criterion)
         used = list(data)
     else:
-        series = _pick_single(ds, args.cols if args.cols else args.col)
+        series = _pick_single(ds, names[0])
         table = select_ar_order(series, args.p_max, criterion=args.criterion)
         used = [series.label]
     return {"table": table.to_dict(), "columns": used}, used, None

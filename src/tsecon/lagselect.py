@@ -1,7 +1,9 @@
 """Lag-order selection by information criterion.
 
 All candidate orders 0..p_max are fit on the common sample that drops the
-first p_max observations, so their criterion values are comparable.  With T
+first p_max observations, so their criterion values are comparable.  For a
+scalar series every candidate is a leading-column prefix of the p_max
+regression, whose one factorisation gives all their SSRs.  With T
 effective observations,
 
     scalar:  BIC(p) = ln(SSR(p) / T) + (p + 1) ln(T) / T
@@ -78,16 +80,15 @@ def select_ar_order(series: TimeSeries, p_max: int, criterion: str = "bic") -> C
             f"p_max = {p_max} leaves only {max(t_eff, 0)} effective observations"
         )
     v = series.values
-    y = v[p_max:]
+    X = np.column_stack([np.ones(t_eff)] + [v[p_max - i : T_raw - i] for i in range(1, p_max + 1)])
+    names = ["const"] + [f"y.l{i}" for i in range(1, p_max + 1)]
+    # order p regresses on the first p + 1 columns of the p_max design
+    ssr = solve_ols(X, v[p_max:], names).qr.prefix_ssr()
     w = penalty(t_eff)
     rows = []
     for p in range(p_max + 1):
-        cols = [np.ones(t_eff)]
-        cols += [v[p_max - i : T_raw - i] for i in range(1, p + 1)]
-        names = ["const"] + [f"y.l{i}" for i in range(1, p + 1)]
-        fit = solve_ols(np.column_stack(cols), y, names)
-        value = float(np.log(fit.ssr / t_eff) + (p + 1) * w / t_eff)
-        rows.append(CriterionRow(p=p, value=value, fit_measure=fit.ssr))
+        value = float(np.log(ssr[p + 1] / t_eff) + (p + 1) * w / t_eff)
+        rows.append(CriterionRow(p=p, value=value, fit_measure=float(ssr[p + 1])))
     return CriterionTable(
         criterion=criterion, rows=tuple(rows), chosen_p=_choose(rows), t_effective=t_eff
     )

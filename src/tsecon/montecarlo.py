@@ -11,12 +11,13 @@ dependence.
 report call size/power studies run and, for the statistics that can be
 simulated, their parameters, tail, null process and batched evaluator.
 
-The batched evaluators reproduce the public test-statistic paths (same
-regressions, same lag-selection rule); equivalence is covered by tests.
+The chunk runners run the public tests' own code on a block of paths:
+`unitroot.adf_block_statistic` for ADF and EG-ADF, `breaks.chow_f_scan` for QLR.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping
 
@@ -27,83 +28,16 @@ from .cointegration import eg_adf_test
 from .cvcache import CvEntry
 from .dgp import GENERATOR_NAME, RandomWalk, WhiteNoise, rng_for, sample_values, simulate
 from .errors import DomainError
+from .ols import qr_lstsq
 from .report import DEFAULT_LEVELS
 from .series import TimeSeries
-from .unitroot import AdfSpec, adf_test, resolve_adf_pmax
+from .unitroot import _FIXED_COLUMNS, AdfSpec, adf_block_statistic, adf_test
 from .varmodel import granger_test
 
 __all__ = ["McRun", "mc_critical_values", "SizePower", "size_power_suite"]
 
-_K_DET = {"none": 1, "drift": 2, "trend": 3}
-
 
 # --- batched statistic evaluation --------------------------------------------
-
-
-def _adf_block_design(paths: np.ndarray, deterministic: str, lags: int, drop_head: int = 0):
-    """Batched ADF regression arrays over rows t = lags + 1 + drop_head .. T-1."""
-    R, T = paths.shape
-    t0 = lags + 1 + drop_head
-    rows = T - t0
-    if rows < _K_DET[deterministic] + lags + 1:
-        raise DomainError("sample too short for the augmentation window")
-    dy = paths[:, 1:] - paths[:, :-1]  # dy[:, t-1] = y_t - y_{t-1}
-    y = dy[:, t0 - 1 :]
-    cols = []
-    if deterministic in ("drift", "trend"):
-        cols.append(np.ones((R, rows)))
-    if deterministic == "trend":
-        cols.append(np.broadcast_to(np.arange(t0, T, dtype=float), (R, rows)))
-    cols.append(paths[:, t0 - 1 : T - 1])
-    for j in range(1, lags + 1):
-        cols.append(dy[:, t0 - 1 - j : T - 1 - j])
-    return np.stack(cols, axis=2), y
-
-
-def _batched_tstat(X: np.ndarray, y: np.ndarray, idx: int) -> np.ndarray:
-    """t-ratio of coefficient `idx` from batched least squares."""
-    G = np.einsum("rti,rtj->rij", X, X)
-    h = np.einsum("rti,rt->ri", X, y)
-    beta = np.linalg.solve(G, h[..., None])[..., 0]
-    resid = y - np.einsum("rti,ri->rt", X, beta)
-    ssr = np.einsum("rt,rt->r", resid, resid)
-    n, k = X.shape[1], X.shape[2]
-    sigma2 = ssr / (n - k)
-    inv = np.linalg.inv(G)
-    return beta[:, idx] / np.sqrt(sigma2 * inv[:, idx, idx])
-
-
-def _batched_adf_stat(paths: np.ndarray, deterministic: str, lags) -> np.ndarray:
-    """Mirror of adf_statistic over a block of sample paths.
-
-    The auto rule selects lags by BIC over 0..p_max on the common sample
-    (all candidates as nested leading-column subsets of one design), then
-    refits the chosen order on its full sample.
-    """
-    k_det = _K_DET[deterministic]
-    if lags != "auto":
-        X, y = _adf_block_design(paths, deterministic, int(lags))
-        return _batched_tstat(X, y, k_det - 1)
-    R, T = paths.shape
-    p_max = resolve_adf_pmax(T)
-    X, y = _adf_block_design(paths, deterministic, p_max)
-    n = X.shape[1]
-    G = np.einsum("rti,rtj->rij", X, X)
-    h = np.einsum("rti,rt->ri", X, y)
-    yy = np.einsum("rt,rt->r", y, y)
-    bic = np.empty((R, p_max + 1))
-    for ell in range(p_max + 1):
-        kq = k_det + ell
-        beta = np.linalg.solve(G[:, :kq, :kq], h[:, :kq, None])[..., 0]
-        ssr = np.maximum(yy - np.einsum("ri,ri->r", h[:, :kq], beta), 1e-300)
-        bic[:, ell] = np.log(ssr / n) + kq * np.log(n) / n
-    chosen = np.argmin(bic, axis=1)  # first minimum = fewest lags on ties
-    stats = np.empty(R)
-    for ell in np.unique(chosen):
-        mask = chosen == ell
-        Xe, ye = _adf_block_design(paths[mask], deterministic, int(ell))
-        stats[mask] = _batched_tstat(Xe, ye, k_det - 1)
-    return stats
 
 
 def _null_paths(template, T: int, seed: int, start: int, stop: int, columns: int = 1):
@@ -122,7 +56,7 @@ def _null_paths(template, T: int, seed: int, start: int, stop: int, columns: int
 def _adf_chunk(parsed, T: int, seed: int, start: int, stop: int) -> np.ndarray:
     deterministic, lags = parsed
     paths = _null_paths(RandomWalk(), T, seed, start, stop)[:, :, 0]
-    return _batched_adf_stat(paths, deterministic, lags)
+    return adf_block_statistic(paths, deterministic, lags)
 
 
 def _qlr_chunk(parsed, T: int, seed: int, start: int, stop: int) -> np.ndarray:
@@ -137,11 +71,9 @@ def _egadf_chunk(parsed, T: int, seed: int, start: int, stop: int) -> np.ndarray
     paths = _null_paths(RandomWalk(), T, seed, start, stop, columns=m + 1)
     y = paths[:, :, 0]  # column 0 is the regressand
     X = np.concatenate([np.ones((stop - start, T, 1)), paths[:, :, 1:]], axis=2)
-    G = np.einsum("rti,rtj->rij", X, X)
-    h = np.einsum("rti,rt->ri", X, y)
-    beta = np.linalg.solve(G, h[..., None])[..., 0]
-    residuals = y - np.einsum("rti,ri->rt", X, beta)
-    return _batched_adf_stat(residuals, "none", "auto")
+    beta = qr_lstsq(X, y).solve()[0]
+    residuals = y - (X @ beta[..., None])[..., 0]
+    return adf_block_statistic(residuals, "none", "auto")
 
 
 # --- parameters and public report calls ---------------------------------------
@@ -182,8 +114,8 @@ def _number(statistic: str, name: str, value, integer: bool = False):
 
 def _adf_params(params):
     deterministic, lags = _take("adf", params, deterministic="drift", lags="auto")
-    if deterministic not in _K_DET:
-        raise DomainError(f"deterministic must be one of {sorted(_K_DET)}")
+    if deterministic not in _FIXED_COLUMNS:
+        raise DomainError(f"deterministic must be one of {sorted(_FIXED_COLUMNS)}")
     if lags != "auto":
         lags = _number("adf", "lags", lags, integer=True)
         if lags < 0:
@@ -253,11 +185,16 @@ def _granger_report(data, cv_source, args):
 
 def _egadf_args(params):
     y, xs = _take("egadf", params, y="y", xs=("x",))
+    if isinstance(xs, str):
+        raise DomainError(f"egadf parameter 'xs' must be a list of series names, got {xs!r}")
     return y, tuple(xs)
 
 
 def _egadf_report(data, cv_source, args):
     y, xs = args
+    for nm in (y, *xs):
+        if nm not in data:
+            raise DomainError(f"data is missing series {nm!r}")
     # eg_adf is None for an exact relation
     return eg_adf_test(data[y], [data[nm] for nm in xs], cv_source=cv_source).eg_adf
 
@@ -404,10 +341,13 @@ def mc_critical_values(
         lv: float(np.quantile(stats, lv if entry.tail == "left" else 1.0 - lv))
         for lv in levels
     }
+    # exactly rounded sums, so the summary does not depend on how numpy
+    # vectorises its own summation on this machine
+    mean = math.fsum(stats) / stats.size
     summary = {
         "count": int(reps),
-        "mean": float(stats.mean()),
-        "sd": float(stats.std(ddof=1)),
+        "mean": mean,
+        "sd": math.sqrt(math.fsum((stats - mean) ** 2) / (stats.size - 1)),
         "min": float(stats[0]),
         "max": float(stats[-1]),
     }

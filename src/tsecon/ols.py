@@ -6,9 +6,10 @@ interactions, contemporaneous levels, and lead/lag differences).  The
 builder aligns all terms on a common effective sample, trimming exactly as
 many observations from each end as the terms require.
 
-The solver uses an orthogonal decomposition (LAPACK SVD via lstsq).  Normal
-equations are never formed here; an extended precision normal-equations
-oracle lives in the test suite for cross checking.
+Least squares, apart from the break-date scan `breaks.chow_f_scan`, goes
+through one kernel, :func:`qr_lstsq`: one QR factorisation of [X | y] over a
+stack of designs.  Normal equations are never formed here; an extended
+precision normal-equations oracle lives in the test suite for cross checking.
 """
 
 from __future__ import annotations
@@ -33,8 +34,10 @@ __all__ = [
     "DesignSpec",
     "Design",
     "OlsFit",
+    "QrFit",
     "FTest",
     "build_design",
+    "qr_lstsq",
     "solve_ols",
     "fit_design",
     "f_statistic",
@@ -266,6 +269,7 @@ class OlsFit:
     n_obs: int
     n_params: int
     column_names: tuple
+    qr: QrFit  # the factorisation the fit was read from
 
     def coefficient(self, name: str) -> float:
         return float(self.coefficients[self.column_names.index(name)])
@@ -288,11 +292,54 @@ class FTest(NamedTuple):
         return {float(lv): float(fdtri(self.df_num, self.df_den, 1.0 - lv)) for lv in levels}
 
 
+class QrFit(NamedTuple):
+    """Least squares on a stack of designs, read off [X | y] = Q [[r, c], [0, rho]].
+
+    r (..., k, k) is upper triangular, so the coefficients are r^-1 c, the SSR
+    is rho^2 and diag((X'X)^-1) holds the squared row norms of r^-1.
+    """
+
+    r: np.ndarray
+    c: np.ndarray
+    rho: np.ndarray
+    n_obs: int
+
+    def solve(self) -> tuple[np.ndarray, np.ndarray]:
+        """Coefficients and homoskedastic standard errors, from one inverse of r."""
+        r_inv = np.linalg.inv(self.r)
+        ser = np.abs(self.rho) / np.sqrt(self.n_obs - self.r.shape[-1])
+        beta = (r_inv @ self.c[..., None])[..., 0]
+        return beta, ser[..., None] * np.sqrt(np.sum(r_inv * r_inv, axis=-1))
+
+    def prefix_ssr(self) -> np.ndarray:
+        """SSR on the first j columns, j = 0..k, as rho^2 + sum_{i >= j} c_i^2.
+
+        A sum of squares, so unlike ||y||^2 - cumsum(c^2) it cannot cancel.
+        """
+        squares = np.concatenate([self.c * self.c, (self.rho * self.rho)[..., None]], axis=-1)
+        return np.cumsum(squares[..., ::-1], axis=-1)[..., ::-1]
+
+
+def qr_lstsq(X: np.ndarray, y: np.ndarray) -> QrFit:
+    """One QR factorisation of [X | y] for designs X (..., n, k), responses y (..., n).
+
+    Requires n > k.  The rank is not checked here; :func:`solve_ols` does.
+    """
+    n, k = X.shape[-2:]
+    # [X | y], column-major in each design: the layout LAPACK factorises
+    a = np.empty(X.shape[:-2] + (k + 1, n)).swapaxes(-1, -2)
+    a[..., :k] = X
+    a[..., k] = y
+    f = np.linalg.qr(a, mode="r")
+    return QrFit(r=f[..., :k, :k], c=f[..., :k, k], rho=f[..., k, k], n_obs=n)
+
+
 def solve_ols(X: np.ndarray, y: np.ndarray, column_names: Sequence[str] | None = None) -> OlsFit:
-    """Solve min ||y - X b|| by orthogonal decomposition.
+    """Solve min ||y - X b|| by QR factorisation (:func:`qr_lstsq`).
 
     Raises :class:`CollinearityError` naming the offending columns when X is
-    rank deficient (singular values below max(m, n) * eps * sigma_max).
+    rank deficient (singular values of the triangular factor below
+    max(m, n) * eps * sigma_max).
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -308,10 +355,14 @@ def solve_ols(X: np.ndarray, y: np.ndarray, column_names: Sequence[str] | None =
     if m <= k:
         raise DomainError(f"{m} observations cannot identify {k} parameters")
 
-    U, s, Vt = np.linalg.svd(X, full_matrices=False)
+    qr = qr_lstsq(X, y)
+    # X and r share singular values.  The rank test needs them, and since
+    # r^-1 = V diag(1/s) U' they also give the solution: a further LAPACK
+    # call (QrFit.solve) would make small one-series fits ~15% slower.
+    U, s, Vt = np.linalg.svd(qr.r)
     tol = max(m, k) * np.finfo(float).eps * s[0]
-    rank = int(np.sum(s > tol))
-    if rank < k:
+    if s[-1] <= tol:  # s is sorted in decreasing order
+        rank = int(np.sum(s > tol))
         # pivoted QR orders columns by explanatory contribution; the ones
         # past the numerical rank are the redundant set worth reporting
         from scipy.linalg import qr as _qr
@@ -320,20 +371,18 @@ def solve_ols(X: np.ndarray, y: np.ndarray, column_names: Sequence[str] | None =
         offenders = [column_names[i] for i in sorted(piv[rank:])]
         raise CollinearityError(offenders)
 
-    beta = Vt.T @ ((U.T @ y) / s)
+    beta = Vt.T @ ((U.T @ qr.c) / s)
     fitted = X @ beta
     resid = y - fitted
-    ssr = float(resid @ resid)
-    dof = m - k
-    ser = float(np.sqrt(ssr / dof))
+    ssr = float(qr.rho**2)
+    ser = float(np.sqrt(ssr / (m - k)))
 
-    # diag of (X'X)^-1 from the SVD: sum_j V[i,j]^2 / s_j^2
-    xtx_inv_diag = np.einsum("ji,j->i", Vt**2, 1.0 / s**2)
-    stderrs = ser * np.sqrt(xtx_inv_diag)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_stats = np.where(stderrs > 0.0, beta / stderrs, np.nan)
+    # diag of (X'X)^-1 = (r'r)^-1 from the SVD: sum_j V[i,j]^2 / s_j^2
+    stderrs = ser * np.sqrt(np.einsum("ji,j->i", Vt**2, 1.0 / s**2))
+    # every standard error is positive at full rank, unless the fit is exact
+    t_stats = beta / stderrs if ser > 0.0 else np.full(k, np.nan)
 
-    for arr in (beta, stderrs, t_stats, resid, fitted):
+    for arr in (beta, stderrs, t_stats, resid, fitted, qr.r, qr.c):
         arr.flags.writeable = False
     return OlsFit(
         coefficients=beta,
@@ -346,6 +395,7 @@ def solve_ols(X: np.ndarray, y: np.ndarray, column_names: Sequence[str] | None =
         n_obs=m,
         n_params=k,
         column_names=column_names,
+        qr=qr,
     )
 
 

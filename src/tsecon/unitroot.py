@@ -19,13 +19,15 @@ import numpy as np
 
 from .cvcache import default_cache
 from .errors import DomainError
-from .ols import DesignSpec, Diff, DiffLag, Intercept, Lag, OlsFit, Trend, build_design, solve_ols
+from .ols import DesignSpec, Diff, DiffLag, Intercept, Lag, Trend, build_design, qr_lstsq
+from .ols import solve_ols
 from .report import DEFAULT_LEVELS, TestReport, make_test_report
 from .series import TimeSeries
 
 __all__ = ["AdfSpec", "adf_test", "default_adf_pmax"]
 
-_DETERMINISTICS = ("drift", "trend", "none")  # "none" is internal (residual tests)
+# deterministic terms plus y_{t-1}, in every candidate; "none" is internal (residual tests)
+_FIXED_COLUMNS = {"drift": 2, "trend": 3, "none": 1}
 
 
 def default_adf_pmax(n_obs: int) -> int:
@@ -78,36 +80,61 @@ def _adf_design(values: np.ndarray, deterministic: str, lags: int):
     return build_design(spec, {name: TimeSeries(values, label=name)})
 
 
-def _adf_fit(values: np.ndarray, deterministic: str, lags: int, drop_head: int = 0) -> OlsFit:
-    design = _adf_design(values, deterministic, lags)
-    X, y = design.matrix, design.response
-    if drop_head:
-        X, y = X[drop_head:], y[drop_head:]
-    return solve_ols(X, y, design.column_names)
+def _adf_block_design(paths: np.ndarray, deterministic: str, lags: int):
+    """The regression of `_adf_design` for every row of an (R, T) block of paths.
+
+    Rows t = lags + 1 .. T - 1; returns X (R, rows, k) and y (R, rows).
+    """
+    R, T = paths.shape
+    t0 = lags + 1
+    rows = T - t0
+    if rows < _FIXED_COLUMNS[deterministic] + lags + 1:
+        raise DomainError(f"{lags} augmentation lags leave too few observations")
+    dy = paths[:, 1:] - paths[:, :-1]  # dy[:, t-1] = y_t - y_{t-1}
+    cols = []
+    if deterministic in ("drift", "trend"):
+        cols.append(np.ones((R, rows)))
+    if deterministic == "trend":
+        cols.append(np.broadcast_to(np.arange(t0, T, dtype=float), (R, rows)))
+    cols.append(paths[:, t0 - 1 : T - 1])
+    for j in range(1, lags + 1):
+        cols.append(dy[:, t0 - 1 - j : T - 1 - j])
+    return np.stack(cols, axis=2), dy[:, t0 - 1 :]
 
 
-def select_adf_lags(values: np.ndarray, deterministic: str, p_max: int) -> int:
+def select_adf_lags(paths: np.ndarray, deterministic: str, p_max: int):
     """BIC over 0..p_max, all candidates on the common sample of p_max.
 
-    The criterion is ln(SSR/n) + k ln(n)/n with k the full parameter count
-    of the candidate regression.  Ties go to fewer lags.
+    `paths` is one (T,) path, giving an int, or an (R, T) block, giving an
+    int per row; one factorisation of the p_max regression gives the SSR of
+    every candidate.  The criterion is ln(SSR/n) + k ln(n)/n with k the full
+    parameter count of the candidate regression.  Ties go to fewer lags.
     """
-    if deterministic not in _DETERMINISTICS:
-        raise DomainError(f"deterministic must be one of {_DETERMINISTICS}")
-    T = values.size
-    n_common = T - 1 - p_max
-    k_det = {"drift": 2, "trend": 3, "none": 1}[deterministic]
-    if n_common < p_max + k_det + 1:
-        raise DomainError(f"p_max = {p_max} leaves too few observations for lag selection")
-    best_lag, best_value = 0, np.inf
-    logn = np.log(n_common)
-    for ell in range(p_max + 1):
-        fit = _adf_fit(values, deterministic, ell, drop_head=p_max - ell)
-        k = ell + k_det
-        value = np.log(fit.ssr / n_common) + k * logn / n_common
-        if value < best_value:
-            best_lag, best_value = ell, float(value)
-    return best_lag
+    if deterministic not in _FIXED_COLUMNS:
+        raise DomainError(f"deterministic must be one of {tuple(_FIXED_COLUMNS)}")
+    paths = np.asarray(paths, dtype=float)
+    X, y = _adf_block_design(np.atleast_2d(paths), deterministic, p_max)
+    n = y.shape[1]
+    k_fixed = _FIXED_COLUMNS[deterministic]
+    ssr = qr_lstsq(X, y).prefix_ssr()[:, k_fixed:]  # column ell: the candidate with ell lags
+    k = k_fixed + np.arange(p_max + 1)
+    bic = np.log(np.maximum(ssr, 1e-300) / n) + k * np.log(n) / n
+    chosen = np.argmin(bic, axis=1)  # first minimum = fewest lags on ties
+    return chosen if paths.ndim == 2 else int(chosen[0])
+
+
+def adf_block_statistic(paths: np.ndarray, deterministic: str, lags) -> np.ndarray:
+    """The t-ratios of `adf_statistic` for every row of an (R, T) block of paths."""
+    if lags == "auto":
+        chosen = select_adf_lags(paths, deterministic, resolve_adf_pmax(paths.shape[1]))
+        stats = np.empty(len(paths))
+        for ell in np.unique(chosen):
+            mask = chosen == ell
+            stats[mask] = adf_block_statistic(paths[mask], deterministic, int(ell))
+        return stats
+    beta, stderrs = qr_lstsq(*_adf_block_design(paths, deterministic, int(lags))).solve()
+    i = _FIXED_COLUMNS[deterministic] - 1  # the y_{t-1} column
+    return beta[:, i] / stderrs[:, i]
 
 
 def adf_statistic(values: np.ndarray, deterministic: str, lags: int | str):
@@ -117,9 +144,9 @@ def adf_statistic(values: np.ndarray, deterministic: str, lags: int | str):
         lags_used = select_adf_lags(values, deterministic, p_max)
     else:
         lags_used = int(lags)
-    fit = _adf_fit(values, deterministic, lags_used)
-    stat = fit.t_stat("y.l1")
-    return stat, fit, lags_used
+    design = _adf_design(values, deterministic, lags_used)
+    fit = solve_ols(design.matrix, design.response, design.column_names)
+    return fit.t_stat("y.l1"), fit, lags_used
 
 
 def adf_test(

@@ -116,6 +116,14 @@ def test_import_loads_no_scipy_and_no_process_pool():
     assert proc.stdout.strip() == "[]"
 
 
+def test_select_lag_cols_with_one_name(data):
+    # one name in --cols, however spelled, is the scalar selection of --col
+    expected = run_report("select-lag", data["var"], "--col", "y1", "--p-max", "4")["result"]
+    for cols in ("y1,", " y1"):
+        report = run_report("select-lag", data["var"], "--cols", cols, "--p-max", "4")
+        assert report["result"] == expected
+
+
 def test_envelope_input_block(data):
     report = run_report("describe", data["ar"])
     blob = data["ar"].read_bytes()

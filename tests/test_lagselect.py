@@ -9,6 +9,7 @@ from tsecon import (
     select_var_order,
     simulate,
 )
+from tsecon.ols import solve_ols
 
 
 def test_bic_aic_differ_only_in_penalty():
@@ -106,3 +107,24 @@ def test_tie_goes_to_smaller_order():
         CriterionRow(p=2, value=1.30, fit_measure=8.0),
     ]
     assert _choose(rows) == 0
+
+
+@pytest.mark.parametrize("criterion", ["bic", "aic"])
+def test_rows_match_per_order_fits(criterion):
+    # one fit at p_max gives every order's SSR; refit each order as a check,
+    # including a series whose level dwarfs its innovations
+    penalty = {"bic": np.log, "aic": lambda t: 2.0}[criterion]
+    for spec, T, p_max in [(ArProcess(betas=(0.5, 0.3), seed=8), 300, 6),
+                           (ArProcess(beta0=400.0, betas=(0.6,), seed=9), 500, 8)]:
+        v = simulate(spec, T).values
+        table = select_ar_order(TimeSeries(v), p_max, criterion=criterion)
+        t_eff = T - p_max
+        values = []
+        for p in range(p_max + 1):
+            X = np.column_stack([np.ones(t_eff)] + [v[p_max - i : T - i] for i in range(1, p + 1)])
+            ssr = solve_ols(X, v[p_max:]).ssr
+            values.append(np.log(ssr / t_eff) + (p + 1) * penalty(t_eff) / t_eff)
+            assert table.rows[p].p == p
+            assert table.rows[p].fit_measure == pytest.approx(ssr, rel=1e-10)
+            assert table.rows[p].value == pytest.approx(values[-1], rel=1e-10)
+        assert table.chosen_p == int(np.argmin(values))

@@ -1,4 +1,6 @@
 import importlib.util
+import math
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
@@ -8,6 +10,7 @@ import pytest
 import tsecon.montecarlo
 from tsecon import (
     ArProcess,
+    CointegratedPair,
     CriticalValueCache,
     DomainError,
     InterceptBreakAr,
@@ -26,8 +29,8 @@ from tsecon import (
 from tsecon.breaks import chow_f_scan, qlr_window
 from tsecon.cli import build_parser
 from tsecon.cvcache import _params_key
-from tsecon.montecarlo import _SIMULATED, _STATISTICS, _batched_adf_stat
-from tsecon.unitroot import adf_statistic
+from tsecon.montecarlo import _SIMULATED, _STATISTICS
+from tsecon.unitroot import adf_block_statistic, adf_statistic
 
 
 def test_run_is_independent_of_scheduling():
@@ -75,10 +78,10 @@ def test_batched_adf_agrees_with_public_statistic():
     rng = rng_for(123)
     paths = np.vstack([sample_values(RandomWalk(), 200, rng_for(123, r)) for r in range(40)])
     for det, lags in (("drift", 0), ("drift", 2), ("trend", 1), ("none", 0)):
-        batched = _batched_adf_stat(paths, det, lags)
+        batched = adf_block_statistic(paths, det, lags)
         direct = np.array([adf_statistic(p, det, lags)[0] for p in paths])
         assert np.max(np.abs(batched - direct)) < 1e-10
-    auto = _batched_adf_stat(paths, "drift", "auto")
+    auto = adf_block_statistic(paths, "drift", "auto")
     direct_auto = np.array([adf_statistic(p, "drift", "auto")[0] for p in paths])
     assert np.max(np.abs(auto - direct_auto)) < 1e-10
 
@@ -94,6 +97,21 @@ def test_batched_qlr_agrees_with_public_statistic():
     for r in range(0, 25, 6):
         rep = qlr_test(TimeSeries(paths[r]), p=1, cv_source=cache)
         assert rep.statistic == pytest.approx(scan_max[r], rel=1e-10)
+
+
+def test_summary_sums_are_exactly_rounded(monkeypatch):
+    # numpy's pairwise mean of these values depends on its blocking; the
+    # exactly rounded one does not
+    values = np.array([1e16, 1.0, -1e16, 1.0] * 250)
+
+    def chunk(parsed, T, seed, start, stop):
+        return values[start:stop]
+
+    monkeypatch.setitem(_STATISTICS, "adf", replace(_STATISTICS["adf"], chunk=chunk))
+    run = mc_critical_values("adf", {}, T_sim=50, reps=values.size, seed=1)
+    mean = math.fsum(values) / values.size
+    assert run.summary["mean"] == mean == 0.5
+    assert run.summary["sd"] == math.sqrt(math.fsum((values - mean) ** 2) / (values.size - 1))
 
 
 def test_to_entry_round_trips_through_a_cache_file(tmp_path):
@@ -230,6 +248,8 @@ def test_size_power_validates_before_simulating(monkeypatch):
         ("adf", {"lags": "x"}, "adf parameter 'lags' must be a number"),
         ("adf", {"deterministic": "none"}, "deterministic must be 'drift' or 'trend'"),
         ("egadf", {"y": "y", "x": ["x"]}, r"unknown egadf parameters: \['x'\]"),
+        ("egadf", {"y": "y", "xs": "x1"},
+         "egadf parameter 'xs' must be a list of series names, got 'x1'"),
     ]
     for test, params, message in bad_params:
         with pytest.raises(DomainError, match=message):
@@ -257,6 +277,12 @@ def test_size_power_validates_before_simulating(monkeypatch):
         parse = _STATISTICS[statistic].parse
         assert parse(a)[0] == parse(b)[0] == canon
         assert all(type(v) is type(canon[k]) for k, v in parse(a)[0].items())
+
+
+def test_size_power_egadf_names_a_missing_series():
+    with pytest.raises(DomainError, match="data is missing series 'z'"):
+        size_power_suite("egadf", {"y": RandomWalk(), "x": RandomWalk()}, CointegratedPair(),
+                         reps=1, T=100, params={"y": "y", "xs": ["z"]})
 
 
 def _load_build_cache():

@@ -12,6 +12,7 @@ from tsecon import (
     solve_ols,
 )
 from tsecon.ols import (
+    qr_lstsq,
     BreakDummy,
     BreakLagInteraction,
     Diff,
@@ -210,3 +211,49 @@ def test_fit_design_round_trip():
     direct = solve_ols(design.matrix, design.response, design.column_names)
     assert np.array_equal(fit.coefficients, direct.coefficients)
     assert fit.column_names == ("const", "y.l1")
+
+
+def stacked_designs(rng, R, n, k, trend):
+    """R designs of n rows: const, [trend,] a random-walk level, noise columns."""
+    cols = [np.ones((R, n))]
+    if trend:
+        cols.append(np.broadcast_to(np.arange(1.0, n + 1.0), (R, n)))
+    cols.append(np.cumsum(rng.normal(size=(R, n)), axis=1))
+    cols += [rng.normal(size=(R, n)) for _ in range(k - len(cols))]
+    X = np.stack(cols, axis=2)
+    y = X @ rng.normal(size=k) + rng.normal(size=(R, n))
+    return X, y
+
+
+@pytest.mark.parametrize("R", [1, 5])
+@pytest.mark.parametrize("n, trend", [(80, False), (5000, True)])
+def test_qr_lstsq_prefix_ssr_equals_lstsq_per_prefix(rng, R, n, trend):
+    k = 6
+    X, y = stacked_designs(rng, R, n, k, trend)
+    prefix = qr_lstsq(X, y).prefix_ssr()
+    assert prefix.shape == (R, k + 1)
+    for r in range(R):
+        assert prefix[r, 0] == pytest.approx(y[r] @ y[r], rel=1e-10)
+        for j in range(1, k + 1):
+            ssr = np.linalg.lstsq(X[r, :, :j], y[r], rcond=None)[1][0]
+            assert prefix[r, j] == pytest.approx(ssr, rel=1e-10)
+
+
+@pytest.mark.parametrize("R", [1, 5])
+@pytest.mark.parametrize("n, trend", [(80, False), (5000, True)])
+def test_qr_lstsq_stack_equals_row_by_row_fits(rng, R, n, trend):
+    X, y = stacked_designs(rng, R, n, 5, trend)
+    fit = qr_lstsq(X, y)
+    (beta, se), prefix = fit.solve(), fit.prefix_ssr()
+    for r in range(R):
+        row = qr_lstsq(X[r], y[r])
+        assert np.allclose(beta[r], row.solve()[0], rtol=1e-12, atol=0.0)
+        assert np.allclose(se[r], row.solve()[1], rtol=1e-12, atol=0.0)
+        assert np.allclose(prefix[r], row.prefix_ssr(), rtol=1e-12, atol=0.0)
+        # and the R = 1 kernel is what solve_ols reports
+        ols = solve_ols(X[r], y[r])
+        ref, ssr = np.linalg.lstsq(X[r], y[r], rcond=None)[:2]
+        assert np.allclose(ols.coefficients, ref, rtol=1e-10, atol=0.0)
+        assert ols.ssr == pytest.approx(ssr[0], rel=1e-10)
+        assert np.array_equal(ols.qr.prefix_ssr(), row.prefix_ssr())
+        assert np.allclose(ols.stderrs, row.solve()[1], rtol=1e-12, atol=0.0)

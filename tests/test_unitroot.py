@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from tsecon import AdfSpec, ArProcess, DomainError, RandomWalk, TimeSeries, adf_test, simulate
-from tsecon.unitroot import adf_statistic, default_adf_pmax, resolve_adf_pmax, select_adf_lags
+from tsecon.ols import solve_ols
+from tsecon.unitroot import (
+    _adf_design,
+    adf_statistic,
+    default_adf_pmax,
+    resolve_adf_pmax,
+    select_adf_lags,
+)
 
 
 def test_adf_spec_validation():
@@ -96,3 +103,28 @@ def test_short_sample_warns():
     series = simulate(RandomWalk(seed=2), 45)
     with pytest.warns(UserWarning, match="effective sample"):
         adf_test(series, AdfSpec(lags=0))
+
+
+def _refit_lag_choice(values, deterministic, p_max):
+    """BIC lag choice by refitting each candidate on the common sample."""
+    k_fixed = {"drift": 2, "trend": 3, "none": 1}[deterministic]
+    n = values.size - 1 - p_max
+    bic = []
+    for ell in range(p_max + 1):
+        design = _adf_design(values, deterministic, ell)
+        ssr = solve_ols(design.matrix[p_max - ell :], design.response[p_max - ell :]).ssr
+        bic.append(np.log(ssr / n) + (k_fixed + ell) * np.log(n) / n)
+    return int(np.argmin(bic))
+
+
+def test_select_adf_lags_matches_refitting_each_candidate():
+    specs = [ArProcess(betas=(0.5, 0.6, -0.4 + 0.05 * s), seed=40 + s) for s in range(6)]
+    specs += [RandomWalk(seed=50 + s) for s in range(6)]
+    paths = np.vstack([simulate(spec, 160).values for spec in specs])
+    for deterministic in ("drift", "trend", "none"):
+        block = select_adf_lags(paths, deterministic, 6)
+        assert block.shape == (12,)
+        for row, chosen in zip(paths, block):
+            assert select_adf_lags(row, deterministic, 6) == chosen
+            assert chosen == _refit_lag_choice(row, deterministic, 6)
+        assert set(block) == {0, 1, 2}

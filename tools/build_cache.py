@@ -4,9 +4,10 @@
 Monte Carlo entries (Dickey-Fuller and QLR families) are simulated at
 T_sim = 500 with pinned seeds; the EG-ADF entries ship the published
 table verbatim with paper_table provenance.  Rebuilding with the same
-seeds and reps reproduces every quantile; summary means and standard
-deviations can differ in the last digit on another machine or numpy/BLAS
-build.
+seeds and reps reproduces the file byte for byte, whatever --workers is:
+summary means and standard deviations use exactly rounded sums.  The
+statistics come from LAPACK and BLAS calls, so on another BLAS build a
+quantile may move in its last bits.
 
 Usage: python3 tools/build_cache.py [--reps N] [--workers N] [--out PATH]
 """
