@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .ols import DesignSpec, Intercept, Lag, Level, OlsFit, fit_design
+from .ols import DesignSpec, Intercept, Lag, Level, OlsFit, ar_prefix_cross_products, fit_design
 from .series import TimeSeries
 
 __all__ = [
@@ -268,6 +268,15 @@ def pseudo_out_of_sample_rmsfe(series: TimeSeries, p: int, split: float) -> floa
     The model is re-estimated on all data before each forecast date, starting
     at floor(split * T).  Both sides of the split must leave at least
     2 (p + 1) observations.
+
+    Every estimation window is a row prefix of the AR(p) design of the whole
+    series, so one cumulative pass over that design
+    (:func:`ols.ar_prefix_cross_products`) gives the normal equations of every
+    window, and one batched k x k solve gives the coefficients of every
+    origin.  The design is centred, and each forecast error is taken in
+    centred terms, so a series far from zero loses no digits to its level.
+    The shortest window is fitted by :func:`fit_ar`: its rank and sample-size
+    checks then hold for every longer window, which contains its rows.
     """
     if not (0.0 < split < 1.0):
         raise DomainError("split must lie strictly between 0 and 1")
@@ -275,10 +284,13 @@ def pseudo_out_of_sample_rmsfe(series: TimeSeries, p: int, split: float) -> floa
     start = int(math.floor(split * T))
     if start < 2 * (p + 1) + 1 or T - start < 2 * (p + 1):
         raise DomainError("split leaves too few observations on one side")
-    errors = np.empty(T - start)
-    for i, t in enumerate(range(start, T)):
-        window = TimeSeries(series.values[:t], label=series.label, origin=series.origin)
-        fit = fit_ar(window, p)
-        fc = forecast_ar(fit, window, 1)
-        errors[i] = series.values[t] - fc.point_forecasts[0]
+    fit_ar(TimeSeries(series.values[:start], label=series.label, origin=series.origin), p)
+    X, y, xx, xy, _ = ar_prefix_cross_products(series.values, p)
+    # design row j forecasts value j + p from the window of rows 0..j-1
+    first = start - p
+    try:
+        beta = np.linalg.solve(xx[first - 1 : -1], xy[first - 1 : -1, :, None])[..., 0]
+    except np.linalg.LinAlgError:
+        raise DomainError("collinear regressors in a forecast window") from None
+    errors = y[first:] - np.einsum("ti,ti->t", X[first:], beta)
     return float(np.sqrt(np.mean(errors**2)))

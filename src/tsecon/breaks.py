@@ -20,7 +20,8 @@ from .ols import (
     Intercept,
     Lag,
     Level,
-    f_statistic,
+    ar_prefix_cross_products,
+    exclusion_f_test,
     fit_design,
 )
 from .report import DEFAULT_LEVELS, TestReport, make_test_report
@@ -34,9 +35,12 @@ def chow_test(series: TimeSeries, p: int, tau: int, levels=DEFAULT_LEVELS) -> Te
 
     Every observation with position <= tau belongs to the first regime.
     Both regimes must contribute at least p + 2 effective observations.
+    One fit of the unrestricted AR(p) with break terms gives the F statistic.
     """
     if not isinstance(p, (int, np.integer)) or p < 1:
         raise DomainError("autoregressive order must be a positive integer")
+    if not isinstance(tau, (int, np.integer)):
+        raise DomainError("break position must be an integer")
     T = len(series)
     n = T - p
     m1 = tau - p + 1
@@ -50,9 +54,8 @@ def chow_test(series: TimeSeries, p: int, tau: int, levels=DEFAULT_LEVELS) -> Te
     data = {name: series}
     base = [Intercept()] + [Lag(name, j) for j in range(1, p + 1)]
     extra = [BreakDummy(tau)] + [BreakLagInteraction(tau, name, j) for j in range(1, p + 1)]
-    restricted, _ = fit_design(DesignSpec(Level(name), base), data)
-    unrestricted, _ = fit_design(DesignSpec(Level(name), base + extra), data)
-    ftest = f_statistic(restricted, unrestricted, q=p + 1)
+    fit, _ = fit_design(DesignSpec(Level(name), base + extra), data)
+    ftest = exclusion_f_test(fit, q=p + 1)
     return make_test_report(
         name="chow",
         statistic=ftest.statistic,
@@ -90,23 +93,11 @@ def chow_f_scan(paths: np.ndarray, p: int, taus: np.ndarray) -> np.ndarray:
     cross-product matrices, accumulated once.
     """
     Y = np.atleast_2d(np.asarray(paths, dtype=float))
-    R, T = Y.shape
-    n = T - p
+    n = Y.shape[1] - p
     k = p + 1
     taus = np.asarray(taus)
-    y = Y[:, p:].copy()
-    X = np.empty((R, n, k))
-    X[:, :, 0] = 1.0
-    for i in range(1, p + 1):
-        X[:, :, i] = Y[:, p - i : T - i]
-    # regimes carry their own intercepts, so centering changes no SSR but
-    # keeps the normal-equation cumulants well conditioned
-    y -= y.mean(axis=1, keepdims=True)
-    X[:, :, 1:] -= X[:, :, 1:].mean(axis=1, keepdims=True)
-
-    P = np.cumsum(np.einsum("rti,rtj->rtij", X, X), axis=1)
-    q = np.cumsum(np.einsum("rti,rt->rti", X, y), axis=1)
-    s = np.cumsum(y**2, axis=1)
+    # regimes carry their own intercepts, so centring changes no SSR
+    _, _, P, q, s = ar_prefix_cross_products(Y, p)
 
     def ssr(G, h, sq):
         beta = np.linalg.solve(G, h[..., None])[..., 0]

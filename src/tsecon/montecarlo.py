@@ -259,9 +259,20 @@ def _check_schedule(workers, chunk_size) -> None:
         raise DomainError("chunk_size must be a positive integer")
 
 
+def _chunk_bounds(total: int, chunk_size: int, workers: int) -> list:
+    """Consecutive (start, stop) chunks of range(total), each at most chunk_size long.
+
+    With several workers a chunk is also at most ceil(total / workers) long,
+    so that a chunk size above that share still gives every worker a chunk.
+    """
+    if workers > 1:
+        chunk_size = min(chunk_size, -(-total // workers))
+    return [(s, min(s + chunk_size, total)) for s in range(0, total, chunk_size)]
+
+
 def _fan_out(fn, args: tuple, total: int, chunk_size: int, workers: int) -> list:
-    """[fn(*args, start, stop)] over consecutive chunks of range(total), in order."""
-    bounds = [(s, min(s + chunk_size, total)) for s in range(0, total, chunk_size)]
+    """[fn(*args, start, stop)] over the chunks of `_chunk_bounds`, in order."""
+    bounds = _chunk_bounds(total, chunk_size, workers)
     if workers == 1:
         return [fn(*args, a, b) for a, b in bounds]
     # imported here, so that single-worker runs and CLI start-up do not pay for it

@@ -6,10 +6,13 @@ interactions, contemporaneous levels, and lead/lag differences).  The
 builder aligns all terms on a common effective sample, trimming exactly as
 many observations from each end as the terms require.
 
-Least squares, apart from the break-date scan `breaks.chow_f_scan`, goes
-through one kernel, :func:`qr_lstsq`: one QR factorisation of [X | y] over a
-stack of designs.  Normal equations are never formed here; an extended
-precision normal-equations oracle lives in the test suite for cross checking.
+Least squares goes through one kernel, :func:`qr_lstsq`: one QR
+factorisation of [X | y] over a stack of designs, which also gives the F test
+of nested restrictions (:func:`exclusion_f_test`).  The one normal-equations
+path is :func:`ar_prefix_cross_products`, for AR(p) fits on every row prefix
+of a path: the break-date scan `breaks.chow_f_scan` and the rolling-origin
+forecasts of `armodel.pseudo_out_of_sample_rmsfe`.  An extended precision
+normal-equations oracle lives in the test suite for cross checking.
 """
 
 from __future__ import annotations
@@ -41,6 +44,8 @@ __all__ = [
     "solve_ols",
     "fit_design",
     "f_statistic",
+    "exclusion_f_test",
+    "ar_prefix_cross_products",
 ]
 
 
@@ -406,6 +411,22 @@ def fit_design(spec: DesignSpec, data: Mapping[str, TimeSeries]) -> tuple[OlsFit
     return fit, design
 
 
+def exclusion_f_test(fit: OlsFit, q: int) -> FTest:
+    """F statistic for the restriction that the last q coefficients of a fit are zero.
+
+    The restricted model is the fit's first k - q columns, so both SSRs come
+    from the fit's one factorisation [[r, c], [0, rho]]: SSR_u = rho^2 and
+    SSR_r - SSR_u = sum_{i >= k - q} c_i^2, a sum of squares that cannot
+    cancel.
+    """
+    if not 1 <= q < fit.n_params:
+        raise DomainError("number of restrictions must lie between 1 and k - 1")
+    df_den = fit.n_obs - fit.n_params
+    delta = float(np.sum(fit.qr.c[fit.n_params - q :] ** 2))
+    f = (delta / q) / (fit.ssr / df_den)
+    return FTest(statistic=float(f), df_num=int(q), df_den=int(df_den))
+
+
 def f_statistic(restricted: OlsFit, unrestricted: OlsFit, q: int | None = None) -> FTest:
     """Homoskedasticity-only F statistic for q linear restrictions.
 
@@ -437,3 +458,25 @@ def f_statistic(restricted: OlsFit, unrestricted: OlsFit, q: int | None = None) 
     delta = max(delta, 0.0)
     f = (delta / q) / (unrestricted.ssr / df_den)
     return FTest(statistic=float(f), df_num=int(q), df_den=int(df_den))
+
+
+def ar_prefix_cross_products(paths: np.ndarray, p: int) -> tuple:
+    """AR(p) designs of paths (..., T) and their cross-products over every row prefix.
+
+    Row j regresses value j + p on an intercept and p lags.  y and the lag
+    columns are centred on their means, which changes no residual of a
+    prefix regression but keeps the cumulants well conditioned.  Returns the
+    centred X (..., n, k) and y, then X'X, X'y and y'y over rows 0..m at
+    index m of xx (..., n, k, k), xy (..., n, k) and yy (..., n).
+    """
+    T = paths.shape[-1]
+    X = np.empty(paths.shape[:-1] + (T - p, p + 1))
+    X[..., 0] = 1.0
+    for i in range(1, p + 1):
+        X[..., i] = paths[..., p - i : T - i]
+    y = paths[..., p:] - paths[..., p:].mean(axis=-1, keepdims=True)
+    X[..., 1:] -= X[..., 1:].mean(axis=-2, keepdims=True)
+    xx = np.cumsum(np.einsum("...ti,...tj->...tij", X, X), axis=-3)
+    xy = np.cumsum(np.einsum("...ti,...t->...ti", X, y), axis=-2)
+    yy = np.cumsum(y**2, axis=-1)
+    return X, y, xx, xy, yy

@@ -17,7 +17,7 @@ import numpy as np
 from .armodel import ForecastResult, iterate_linear_forecast
 from .dgp import companion_matrix
 from .errors import DomainError
-from .ols import DesignSpec, Intercept, Lag, Level, OlsFit, f_statistic, fit_design
+from .ols import DesignSpec, Intercept, Lag, Level, OlsFit, exclusion_f_test, fit_design
 from .report import DEFAULT_LEVELS, TestReport, make_test_report
 from .series import TimeSeries
 
@@ -244,7 +244,8 @@ def granger_test(
 
     Bivariate form: the unrestricted model regresses the effect on an
     intercept, p of its own lags, and p lags of the cause; the restricted
-    model drops the cause lags.  Other series in `data` are ignored.
+    model drops the cause lags.  Other series in `data` are ignored.  One
+    fit of the unrestricted model gives the F statistic.
     """
     if not isinstance(p, (int, np.integer)) or p < 1:
         raise DomainError("lag order must be a positive integer")
@@ -256,9 +257,8 @@ def granger_test(
     pair = {effect: data[effect], cause: data[cause]}
     own = [Intercept()] + [Lag(effect, j) for j in range(1, p + 1)]
     cross = [Lag(cause, j) for j in range(1, p + 1)]
-    restricted, _ = fit_design(DesignSpec(Level(effect), own), pair)
-    unrestricted, _ = fit_design(DesignSpec(Level(effect), own + cross), pair)
-    ftest = f_statistic(restricted, unrestricted, q=p)
+    fit, _ = fit_design(DesignSpec(Level(effect), own + cross), pair)
+    ftest = exclusion_f_test(fit, q=p)
     return make_test_report(
         name="granger",
         statistic=ftest.statistic,
@@ -270,6 +270,6 @@ def granger_test(
             "cause": cause,
             "effect": effect,
             "p": int(p),
-            "n_obs": int(unrestricted.n_obs),
+            "n_obs": int(fit.n_obs),
         },
     )

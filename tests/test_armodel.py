@@ -1,10 +1,15 @@
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import tsecon.armodel
 from tsecon import (
     ArProcess,
     DomainError,
     LagPolynomial,
+    RandomWalk,
     TimeSeries,
     ar1_moments,
     fit_ar,
@@ -150,3 +155,111 @@ def test_pseudo_out_of_sample_rmsfe_near_noise_sd():
         pseudo_out_of_sample_rmsfe(series, 1, 0.999)
     with pytest.raises(DomainError):
         pseudo_out_of_sample_rmsfe(series, 1, 1.5)
+
+
+def rolling_refit_rmsfe(series, p, split):
+    """Reference: refit the AR(p) on every window and forecast one step from it."""
+    T = len(series)
+    start = int(np.floor(split * T))
+    errors = []
+    for t in range(start, T):
+        window = TimeSeries(series.values[:t], label=series.label, origin=series.origin)
+        fc = forecast_ar(fit_ar(window, p), window, 1)
+        errors.append(series.values[t] - fc.point_forecasts[0])
+    return float(np.sqrt(np.mean(np.square(errors))))
+
+
+def _rmsfe_series(kind, seed, T=300):
+    if kind == "random_walk":
+        return simulate(RandomWalk(seed=seed), T)
+    values = simulate(ArProcess(beta0=0.2, betas=(0.5, 0.2), seed=seed), T).values
+    return TimeSeries(values + (400.0 if kind == "level_400" else 0.0), label="y")
+
+
+@pytest.mark.parametrize("split", [0.5, 0.75])
+@pytest.mark.parametrize("p", [1, 2, 4])
+@pytest.mark.parametrize("kind", ["ar2", "random_walk", "level_400"])
+def test_rmsfe_pass_matches_the_refit_loop(kind, p, split):
+    for seed in range(3):
+        series = _rmsfe_series(kind, seed)
+        expected = rolling_refit_rmsfe(series, p, split)
+        assert pseudo_out_of_sample_rmsfe(series, p, split) == pytest.approx(expected, rel=1e-10)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    T=st.integers(30, 400),
+    p=st.sampled_from([1, 2, 3]),
+    level=st.floats(-1e3, 1e3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rmsfe_pass_matches_the_refit_loop_property(T, p, level, seed):
+    series = TimeSeries(
+        simulate(ArProcess(betas=(0.6,), seed=seed), T).values + level, label="y"
+    )
+    expected = rolling_refit_rmsfe(series, p, 0.5)
+    assert pseudo_out_of_sample_rmsfe(series, p, 0.5) == pytest.approx(expected, rel=1e-10)
+
+
+def _mp_rolling_rmsfe(values, p, split, dps=60):
+    """Rolling-origin RMSFE at dps digits: exact running normal equations per origin."""
+    T = len(values)
+    start = int(np.floor(split * T))
+    k = p + 1
+    with mp.workdps(dps):
+        v = [mp.mpf(float(x)) for x in values]
+        G, h = mp.zeros(k, k), mp.zeros(k, 1)
+        sq = mp.mpf(0)
+        for t in range(p, T):
+            x = [mp.mpf(1)] + [v[t - i] for i in range(1, p + 1)]
+            if t >= start:
+                b = mp.lu_solve(G, h)
+                e = v[t] - sum(x[i] * b[i] for i in range(k))
+                sq += e * e
+            for i in range(k):
+                h[i] += x[i] * v[t]
+                for j in range(k):
+                    G[i, j] += x[i] * x[j]
+        return float(mp.sqrt(sq / (T - start)))
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_rmsfe_pass_matches_extended_precision_far_from_zero(p):
+    # the per-origin refit loop this pass replaced is off by up to ~3e-8 here:
+    # its forecasts subtract two numbers near 1e6
+    for seed in range(3):
+        values = 1e6 + np.random.default_rng(seed).standard_normal(200)
+        exact = _mp_rolling_rmsfe(values, p, 0.5)
+        got = pseudo_out_of_sample_rmsfe(TimeSeries(values), p, 0.5)
+        assert abs(got - exact) <= 1e-12 * exact
+
+
+@pytest.mark.parametrize(
+    "values, p",
+    [
+        (np.full(100, 3.0), 1),
+        (np.concatenate([np.zeros(60), np.random.default_rng(1).standard_normal(40)]), 1),
+        (np.arange(100.0), 2),
+    ],
+    ids=["constant", "zero_first_60_percent", "arange"],
+)
+def test_rmsfe_degenerate_series_fail_like_the_refit_loop(values, p):
+    series = TimeSeries(values)
+    with pytest.raises(Exception) as expected:
+        rolling_refit_rmsfe(series, p, 0.5)
+    with pytest.raises(type(expected.value)) as got:
+        pseudo_out_of_sample_rmsfe(series, p, 0.5)
+    assert type(got.value) is type(expected.value)
+    assert str(got.value) == str(expected.value)
+
+
+def test_rmsfe_fits_one_window_only(monkeypatch):
+    calls = []
+
+    def counting_fit_ar(*args):
+        calls.append(args)
+        return fit_ar(*args)
+
+    monkeypatch.setattr(tsecon.armodel, "fit_ar", counting_fit_ar)
+    pseudo_out_of_sample_rmsfe(_rmsfe_series("ar2", 0), 2, 0.5)
+    assert len(calls) == 1

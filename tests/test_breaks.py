@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import tsecon.ols
 from tsecon import (
     ArProcess,
     DomainError,
@@ -15,8 +16,18 @@ from tsecon import (
     qlr_window,
     simulate,
 )
-from tsecon.ols import solve_ols
-from tsecon.report import DEFAULT_LEVELS
+from tsecon.ols import (
+    BreakDummy,
+    BreakLagInteraction,
+    DesignSpec,
+    Intercept,
+    Lag,
+    Level,
+    f_statistic,
+    fit_design,
+    solve_ols,
+)
+from tsecon.report import DEFAULT_LEVELS, decide, p_bracket
 
 
 def split_regression_f(values, p, tau):
@@ -155,3 +166,62 @@ def test_qlr_guards():
         qlr_test(series, p=0)
     with pytest.raises(DomainError):
         qlr_test(TimeSeries(np.full(100, 2.0)), p=1)  # constant: collinear scan
+
+
+def two_fit_chow_f(series, p, tau):
+    """Reference: fit the restricted and the unrestricted model, compare by f_statistic."""
+    name = series.label or "y"
+    base = [Intercept()] + [Lag(name, j) for j in range(1, p + 1)]
+    extra = [BreakDummy(tau)] + [BreakLagInteraction(tau, name, j) for j in range(1, p + 1)]
+    restricted, _ = fit_design(DesignSpec(Level(name), base), {name: series})
+    unrestricted, _ = fit_design(DesignSpec(Level(name), base + extra), {name: series})
+    return f_statistic(restricted, unrestricted, q=p + 1)
+
+
+@pytest.mark.parametrize("T", [100, 500, 5000])
+@pytest.mark.parametrize("spec", [ArProcess(betas=(0.5, 0.2), seed=21),
+                                  InterceptBreakAr(beta0_post=0.6, betas=(0.5, 0.2), seed=22)],
+                         ids=["no_break", "break"])
+def test_chow_one_fit_matches_two_fits(spec, T):
+    series = simulate(spec, T)
+    p, tau = 2, T // 2
+    ref = two_fit_chow_f(series, p, tau)
+    rep = chow_test(series, p, tau)
+    assert rep.statistic == pytest.approx(ref.statistic, rel=1e-10)
+    assert rep.family == {"family": "F", "df_num": ref.df_num, "df_den": ref.df_den}
+    assert rep.critical_values == ref.critical_values(DEFAULT_LEVELS)
+    decision = {lv: decide(ref.statistic, cv, "right") for lv, cv in rep.critical_values.items()}
+    assert rep.decision == decision
+    assert rep.nuisance == {
+        "break_position": tau,
+        "break_date": tau,
+        "regime_sizes": [tau - p + 1, T - tau - 1],
+        "p": p,
+        "series": series.label,
+        "p_bracket": p_bracket(decision),
+    }
+
+
+def test_chow_rejects_a_break_position_that_is_not_an_integer():
+    series = simulate(ArProcess(seed=1), 200)
+    for tau in (100.5, "100", 100.0, None):
+        with pytest.raises(DomainError, match="break position must be an integer"):
+            chow_test(series, 1, tau)
+    assert chow_test(series, 1, np.int64(100)) == chow_test(series, 1, 100)
+
+
+def test_chow_and_granger_fit_one_design(monkeypatch):
+    calls = []
+
+    def counting_solve_ols(*args):
+        calls.append(args)
+        return solve_ols(*args)
+
+    monkeypatch.setattr(tsecon.ols, "solve_ols", counting_solve_ols)
+    chow_test(simulate(ArProcess(seed=1), 200), 2, 100)
+    assert len(calls) == 1
+    calls.clear()
+    noise = {nm: TimeSeries(simulate(WhiteNoise(seed=s), 200).values, label=nm)
+             for s, nm in enumerate(("x", "y"))}
+    granger_test(noise, cause="x", effect="y", p=2)
+    assert len(calls) == 1

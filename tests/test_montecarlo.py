@@ -29,7 +29,7 @@ from tsecon import (
 from tsecon.breaks import chow_f_scan, qlr_window
 from tsecon.cli import build_parser
 from tsecon.cvcache import _params_key
-from tsecon.montecarlo import _SIMULATED, _STATISTICS
+from tsecon.montecarlo import _SIMULATED, _STATISTICS, _chunk_bounds
 from tsecon.unitroot import adf_block_statistic, adf_statistic
 
 
@@ -41,6 +41,19 @@ def test_run_is_independent_of_scheduling():
     c = mc_critical_values(**kwargs, workers=2, chunk_size=300)
     assert a.quantiles == b.quantiles == c.quantiles
     assert a.summary == b.summary == c.summary
+
+
+def test_several_workers_never_run_as_one_chunk():
+    # the default chunk size exceeds these reps: one chunk would leave a worker idle
+    assert _chunk_bounds(1_000, 2_000, 2) == [(0, 500), (500, 1_000)]
+    assert _chunk_bounds(1_000, 2_000, 1) == [(0, 1_000)]
+    assert _chunk_bounds(1_000, 300, 2) == [(0, 300), (300, 600), (600, 900), (900, 1_000)]
+    kwargs = dict(statistic="adf", params={"deterministic": "drift", "lags": 0},
+                  T_sim=50, reps=1_000, seed=3)
+    one = mc_critical_values(**kwargs, workers=1)
+    two = mc_critical_values(**kwargs, workers=2)
+    assert one.quantiles == two.quantiles
+    assert one.summary == two.summary
 
 
 def test_seed_changes_the_draws():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,8 @@ from tsecon import (
     var_autocovariances,
     var_mean,
 )
+from tsecon.ols import DesignSpec, Intercept, Lag, Level, f_statistic, fit_design
+from tsecon.report import DEFAULT_LEVELS, decide, p_bracket
 
 STABLE_SPEC = VarProcess(
     delta=(0.5, -0.2),
@@ -222,3 +226,29 @@ def test_granger_guards():
         granger_test(data, cause="zz", effect="y1", p=1)
     with pytest.raises(DomainError):
         granger_test(data, cause="y2", effect="y1", p=0)
+
+
+def two_fit_granger_f(data, cause, effect, p):
+    """Reference: fit the restricted and the unrestricted model, compare by f_statistic."""
+    pair = {effect: data[effect], cause: data[cause]}
+    own = [Intercept()] + [Lag(effect, j) for j in range(1, p + 1)]
+    cross = [Lag(cause, j) for j in range(1, p + 1)]
+    restricted, _ = fit_design(DesignSpec(Level(effect), own), pair)
+    unrestricted, _ = fit_design(DesignSpec(Level(effect), own + cross), pair)
+    return f_statistic(restricted, unrestricted, q=p), unrestricted.n_obs
+
+
+@pytest.mark.parametrize("T", [100, 500, 5000])
+@pytest.mark.parametrize("cause, effect", [("y2", "y1"), ("y1", "y2")])
+def test_granger_one_fit_matches_two_fits(cause, effect, T):
+    data = simulate(replace(CAUSAL_SPEC, coeff_matrices=(((0.3, 0.1), (0.0, 0.5)),)), T)
+    p = 2
+    ref, n_obs = two_fit_granger_f(data, cause, effect, p)
+    rep = granger_test(data, cause=cause, effect=effect, p=p)
+    assert rep.statistic == pytest.approx(ref.statistic, rel=1e-10)
+    assert rep.family == {"family": "F", "df_num": ref.df_num, "df_den": ref.df_den}
+    assert rep.critical_values == ref.critical_values(DEFAULT_LEVELS)
+    decision = {lv: decide(ref.statistic, cv, "right") for lv, cv in rep.critical_values.items()}
+    assert rep.decision == decision
+    assert rep.nuisance == {"cause": cause, "effect": effect, "p": p, "n_obs": n_obs,
+                            "p_bracket": p_bracket(decision)}
