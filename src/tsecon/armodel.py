@@ -9,6 +9,7 @@ root lies outside the unit circle.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,10 +111,14 @@ class ArFit:
         return self.lag_poly.coefficients
 
 
-def fit_ar(series: TimeSeries, p: int) -> ArFit:
-    """Estimate Y_t = b0 + b1 Y_{t-1} + ... + bp Y_{t-p} + u_t by OLS."""
+def _check_order(p) -> None:
     if not isinstance(p, (int, np.integer)) or p < 1:
         raise DomainError("autoregressive order must be a positive integer")
+
+
+def fit_ar(series: TimeSeries, p: int) -> ArFit:
+    """Estimate Y_t = b0 + b1 Y_{t-1} + ... + bp Y_{t-p} + u_t by OLS."""
+    _check_order(p)
     T = len(series)
     if T <= 2 * (p + 1):
         raise DomainError(
@@ -278,7 +283,8 @@ def pseudo_out_of_sample_rmsfe(series: TimeSeries, p: int, split: float) -> floa
     The shortest window is fitted by :func:`fit_ar`: its rank and sample-size
     checks then hold for every longer window, which contains its rows.
     """
-    if not (0.0 < split < 1.0):
+    _check_order(p)
+    if not isinstance(split, numbers.Real) or not 0.0 < split < 1.0:
         raise DomainError("split must lie strictly between 0 and 1")
     T = len(series)
     start = int(math.floor(split * T))

@@ -16,10 +16,10 @@ import numpy as np
 
 from .cvcache import default_cache
 from .errors import DomainError
-from .ols import DesignSpec, DiffLag, Intercept, Lag, Level, OlsFit, fit_design
+from .ols import DesignSpec, DiffLag, Intercept, Lag, Level, OlsFit, fit_design, qr_lstsq
 from .report import DEFAULT_LEVELS, TestReport, make_test_report
 from .series import TimeSeries, difference
-from .unitroot import AdfSpec, adf_statistic, adf_test
+from .unitroot import AdfSpec, adf_block_statistic, adf_statistic, adf_test
 
 __all__ = [
     "EG_ADF_CRITICAL_VALUES",
@@ -61,6 +61,36 @@ def _named_regressors(y: TimeSeries, xs) -> tuple[str, tuple, dict]:
     data = {yname: y}
     data.update(zip(xnames, xs))
     return yname, tuple(xnames), data
+
+
+def _exact_relation(ssr, n_obs: int, y: np.ndarray):
+    """Whether a levels regression fits exactly: sqrt(SSR/n) <= 1e-10 max(1, max|y|).
+
+    `ssr` is one SSR with `y` its (T,) regressand, or an (R,) stack of them
+    with y (R, T).
+    """
+    scale = np.maximum(1.0, np.max(np.abs(y), axis=-1))
+    return np.sqrt(ssr / n_obs) <= 1e-10 * scale
+
+
+def eg_adf_block_statistic(paths: np.ndarray) -> np.ndarray:
+    """The EG-ADF t-ratios of `eg_adf_test` for every row of an (R, T, 1 + m) block.
+
+    Column 0 of each path is the regressand, columns 1..m the regressors.  A
+    row whose levels regression fits exactly, where `eg_adf_test` runs no
+    ADF, gets -inf: the strongest possible rejection.
+    """
+    R, T, _ = paths.shape
+    y = paths[:, :, 0]
+    X = np.concatenate([np.ones((R, T, 1)), paths[:, :, 1:]], axis=2)
+    stage1 = qr_lstsq(X, y)
+    beta = stage1.solve()[0]
+    residuals = y - (X @ beta[..., None])[..., 0]
+    live = ~_exact_relation(stage1.rho**2, T, y)
+    stats = np.full(R, -np.inf)
+    if live.any():
+        stats[live] = adf_block_statistic(residuals[live], "none", "auto")
+    return stats
 
 
 @dataclass(frozen=True)
@@ -113,8 +143,7 @@ def eg_adf_test(
     alpha = float(stage1.coefficient("const"))
     z = TimeSeries(stage1.residuals, label="z", origin=y.origin + int(design.times[0]))
 
-    scale = max(1.0, float(np.max(np.abs(y.values))))
-    if np.sqrt(stage1.ssr / stage1.n_obs) <= 1e-10 * scale:
+    if _exact_relation(stage1.ssr, stage1.n_obs, y.values):
         return CointFit(
             theta=theta,
             alpha=alpha,

@@ -9,10 +9,16 @@ dependence.
 
 `_STATISTICS` below is the one list of tests: each entry gives the public
 report call size/power studies run and, for the statistics that can be
-simulated, their parameters, tail, null process and batched evaluator.
+simulated, their parameters, tail, null process and block evaluator.
 
-The chunk runners run the public tests' own code on a block of paths:
-`unitroot.adf_block_statistic` for ADF and EG-ADF, `breaks.chow_f_scan` for QLR.
+A block evaluator runs a public test's own statistic on an (R, T) block of
+paths: `unitroot.adf_block_statistic` for ADF,
+`cointegration.eg_adf_block_statistic` for EG-ADF and `breaks.chow_f_scan`
+for QLR.  `mc-critical` chunks evaluate their null paths with it, and so do
+size/power studies, which run the full public test on the first replication
+of each chunk and branch only: that call validates the data, warns, resolves
+the critical values and gives the tail, and the block statistics of the
+other replications are decided against its critical value.
 """
 
 from __future__ import annotations
@@ -24,11 +30,10 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .breaks import chow_f_scan, chow_test, qlr_test, qlr_window
-from .cointegration import eg_adf_test
+from .cointegration import eg_adf_block_statistic, eg_adf_test
 from .cvcache import CvEntry
 from .dgp import GENERATOR_NAME, RandomWalk, WhiteNoise, rng_for, sample_values, simulate
 from .errors import DomainError
-from .ols import qr_lstsq
 from .report import DEFAULT_LEVELS
 from .series import TimeSeries
 from .unitroot import _FIXED_COLUMNS, AdfSpec, adf_block_statistic, adf_test
@@ -37,7 +42,7 @@ from .varmodel import granger_test
 __all__ = ["McRun", "mc_critical_values", "SizePower", "size_power_suite"]
 
 
-# --- batched statistic evaluation --------------------------------------------
+# --- block evaluators and null chunks -----------------------------------------
 
 
 def _null_paths(template, T: int, seed: int, start: int, stop: int, columns: int = 1):
@@ -53,27 +58,38 @@ def _null_paths(template, T: int, seed: int, start: int, stop: int, columns: int
     return paths
 
 
-def _adf_chunk(parsed, T: int, seed: int, start: int, stop: int) -> np.ndarray:
+def _adf_block(parsed, paths: np.ndarray) -> np.ndarray:
     deterministic, lags = parsed
-    paths = _null_paths(RandomWalk(), T, seed, start, stop)[:, :, 0]
     return adf_block_statistic(paths, deterministic, lags)
 
 
-def _qlr_chunk(parsed, T: int, seed: int, start: int, stop: int) -> np.ndarray:
+def _qlr_block(parsed, paths: np.ndarray) -> np.ndarray:
+    """QLR statistics of an (R, T) block, failing as `qlr_test` does."""
     p, trim = parsed
-    paths = _null_paths(WhiteNoise(), T, seed, start, stop)[:, :, 0]
-    taus = qlr_window(T, p, trim)
-    return chow_f_scan(paths, p, taus).max(axis=1)
+    try:
+        F = chow_f_scan(paths, p, qlr_window(paths.shape[1], p, trim))
+    except np.linalg.LinAlgError:
+        raise DomainError("collinear regressors inside the break scan") from None
+    if not np.all(np.isfinite(F)):
+        raise DomainError("degenerate residual variance inside the break scan")
+    return F.max(axis=1)
+
+
+def _egadf_block(parsed, paths: np.ndarray) -> np.ndarray:
+    return eg_adf_block_statistic(paths)
+
+
+def _adf_chunk(parsed, T: int, seed: int, start: int, stop: int) -> np.ndarray:
+    return _adf_block(parsed, _null_paths(RandomWalk(), T, seed, start, stop)[:, :, 0])
+
+
+def _qlr_chunk(parsed, T: int, seed: int, start: int, stop: int) -> np.ndarray:
+    return _qlr_block(parsed, _null_paths(WhiteNoise(), T, seed, start, stop)[:, :, 0])
 
 
 def _egadf_chunk(parsed, T: int, seed: int, start: int, stop: int) -> np.ndarray:
     m = parsed
-    paths = _null_paths(RandomWalk(), T, seed, start, stop, columns=m + 1)
-    y = paths[:, :, 0]  # column 0 is the regressand
-    X = np.concatenate([np.ones((stop - start, T, 1)), paths[:, :, 1:]], axis=2)
-    beta = qr_lstsq(X, y).solve()[0]
-    residuals = y - (X @ beta[..., None])[..., 0]
-    return adf_block_statistic(residuals, "none", "auto")
+    return _egadf_block(m, _null_paths(RandomWalk(), T, seed, start, stop, columns=m + 1))
 
 
 # --- parameters and public report calls ---------------------------------------
@@ -199,6 +215,24 @@ def _egadf_report(data, cv_source, args):
     return eg_adf_test(data[y], [data[nm] for nm in xs], cv_source=cv_source).eg_adf
 
 
+# Each `_*_rows` turns drawn replications into the block evaluator's input.
+
+
+def _adf_rows(spec: AdfSpec, rows):
+    return (spec.deterministic, spec.lags), np.stack([data.values for data in rows])
+
+
+def _qlr_rows(args, rows):
+    return args, np.stack([data.values for data in rows])
+
+
+def _egadf_rows(args, rows):
+    y, xs = args
+    columns = (y, *xs)
+    return len(xs), np.stack([np.column_stack([data[nm].values for nm in columns])
+                              for data in rows])
+
+
 # --- the registry -------------------------------------------------------------
 
 
@@ -209,10 +243,12 @@ class _Statistic:
       args    size/power params -> the report call's validated arguments
       report  (data, cv_source, args) -> TestReport, None meaning reject
 
-    Only simulated statistics have `parse`, `chunk` and `flags`:
-      parse   params -> (canonical cache params, the chunk runner's first argument)
+    Only simulated statistics have the rest:
+      parse   params -> (canonical cache params, `parsed`)
       chunk   (parsed, T, seed, start, stop) -> statistics of those null replications
       flags   (mc-critical option dest, parameter name) pairs
+      block   (parsed, paths) -> the report's statistic for every path of a block
+      rows    (args, drawn data of several replications) -> (parsed, paths)
     """
 
     tail: str
@@ -222,22 +258,27 @@ class _Statistic:
     parse: Callable | None = None
     chunk: Callable | None = None
     flags: tuple = ()
+    block: Callable | None = None
+    rows: Callable | None = None
 
 
 _STATISTICS = {
     "adf": _Statistic(
         "left", _adf_args, _adf_report, "driftless standard Gaussian random walk",
         _adf_params, _adf_chunk, (("det", "deterministic"), ("lags", "lags")),
+        _adf_block, _adf_rows,
     ),
     "qlr": _Statistic(
         "right", _qlr_args, _qlr_report, "Gaussian white noise",
         _qlr_params, _qlr_chunk, (("p", "p"), ("trim", "trim")),
+        _qlr_block, _qlr_rows,
     ),
     "chow": _Statistic("right", _chow_args, _chow_report),
     "granger": _Statistic("right", _granger_args, _granger_report),
     "egadf": _Statistic(
         "left", _egadf_args, _egadf_report, "independent driftless Gaussian random walks",
         _egadf_params, _egadf_chunk, (("m", "n_regressors"),),
+        _egadf_block, _egadf_rows,
     ),
 }
 _SIMULATED = tuple(name for name, s in _STATISTICS.items() if s.chunk is not None)
@@ -401,15 +442,42 @@ def _draw(spec, T: int, master: int, branch: int, index: int):
     return simulate(replace(spec, seed=_derived_seed(master, (branch, index))), T)
 
 
+def _rejections(entry: _Statistic, rows: list, level: float, cv_source, args) -> int:
+    """How many of one branch's drawn replications the public test rejects at `level`.
+
+    The public report call runs on the first replication; with a block
+    evaluator the rest are decided on their block statistics against its
+    critical value, strictly as `report.decide` does.  Without one, or while
+    the report is None, the next replication goes through the public call too.
+    A path the public test refuses (a degenerate design) is caught only where
+    it comes first; the processes draw Gaussian noise, so a degenerate path
+    comes from a degenerate process, whose every path is.
+    """
+    hits = 0
+    for first, data in enumerate(rows):
+        report = entry.report(data, cv_source, args)
+        # no report means an exact relation: the strongest possible rejection
+        hits += report is None or report.decision[level] == "reject"
+        if report is not None and entry.block is not None:
+            break
+    else:
+        return hits
+    rest = rows[first + 1 :]
+    if not rest:
+        return hits
+    stats = entry.block(*entry.rows(args, rest))
+    cv = report.critical_values[level]
+    rejected = stats < cv if entry.tail == "left" else stats > cv
+    return hits + int(np.count_nonzero(rejected))
+
+
 def _rejection_counts(test, null_spec, alt_spec, T, master, level, cv_source, args, start, stop):
-    report_of = _STATISTICS[test].report
-    hits = [0, 0]
-    for i in range(start, stop):
-        for branch, spec in enumerate((null_spec, alt_spec)):
-            report = report_of(_draw(spec, T, master, branch, i), cv_source, args)
-            # no report means an exact relation: the strongest possible rejection
-            hits[branch] += report is None or report.decision[level] == "reject"
-    return tuple(hits)
+    entry = _STATISTICS[test]
+    return tuple(
+        _rejections(entry, [_draw(spec, T, master, branch, i) for i in range(start, stop)],
+                    level, cv_source, args)
+        for branch, spec in enumerate((null_spec, alt_spec))
+    )
 
 
 @dataclass(frozen=True)
@@ -441,9 +509,16 @@ def size_power_suite(
 ) -> SizePower:
     """Rejection rate of a public test under two data-generating processes.
 
-    Every replication runs the full public test path (simulation, fitting,
-    critical-value lookup, decision) at the requested level.  size is the
-    null rejection rate, power the alternative one.
+    size is the null rejection rate, power the alternative one, at the
+    requested level.  Each chunk draws its null replications, then its
+    alternative ones, from the same per-replication seeds whatever the
+    schedule.  For chow and granger every replication runs the full public
+    test.  For the simulated statistics the first replication of each chunk
+    and branch does: that call checks the data, warns, and resolves the
+    critical value and tail through the test's own module, so the cache is
+    read once per chunk and branch.  The other replications are decided on
+    the registry's block evaluator, the code `mc_critical_values` runs, which
+    gives the public statistic of every row of a block at once.
     """
     if not isinstance(reps, (int, np.integer)) or reps < 1:
         raise DomainError("reps must be a positive integer")

@@ -254,6 +254,16 @@ def test_criterion_5_size_suite():
     )
 
 
+def test_criterion_5_and_6_counts_are_the_public_tests():
+    # (null, alternative) rejections recorded with the public test run on every
+    # replication; deciding most replications on block statistics must not move them
+    recorded = {"adf": (506, 10_000), "qlr": (542, 10_000), "granger": (524, 10_000),
+                "chow": (526, 10_000), "egadf": (438, 10_000)}
+    counts = {name: (_suite(name).null_rejections, _suite(name).alt_rejections)
+              for name in recorded}
+    assert counts == recorded
+
+
 def test_criterion_6_power_suite():
     adf_power = _suite("adf").power
     granger_power = _suite("granger").power

@@ -157,6 +157,18 @@ def test_pseudo_out_of_sample_rmsfe_near_noise_sd():
         pseudo_out_of_sample_rmsfe(series, 1, 1.5)
 
 
+@pytest.mark.parametrize("p, split, message", [
+    ("2", 0.5, "autoregressive order must be a positive integer"),
+    (None, 0.5, "autoregressive order must be a positive integer"),
+    (1, "0.5", "split must lie strictly between 0 and 1"),
+    (1, None, "split must lie strictly between 0 and 1"),
+])
+def test_pseudo_out_of_sample_rmsfe_rejects_a_bad_order_or_split(p, split, message):
+    series = simulate(ArProcess(betas=(0.5,), seed=9), 200)
+    with pytest.raises(DomainError, match=message):
+        pseudo_out_of_sample_rmsfe(series, p, split)
+
+
 def rolling_refit_rmsfe(series, p, split):
     """Reference: refit the AR(p) on every window and forecast one step from it."""
     T = len(series)
