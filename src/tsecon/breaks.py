@@ -37,6 +37,8 @@ def chow_test(series: TimeSeries, p: int, tau: int, levels=DEFAULT_LEVELS) -> Te
     Both regimes must contribute at least p + 2 effective observations.
     One fit of the unrestricted AR(p) with break terms gives the F statistic.
     """
+    if not isinstance(series, TimeSeries):
+        raise DomainError(f"chow_test needs a TimeSeries, got {type(series).__name__}")
     if not isinstance(p, (int, np.integer)) or p < 1:
         raise DomainError("autoregressive order must be a positive integer")
     if not isinstance(tau, (int, np.integer)):
@@ -126,6 +128,8 @@ def qlr_test(
     cv_source=None,
 ) -> TestReport:
     """Sup-F break test over an interior window of candidate dates."""
+    if not isinstance(series, TimeSeries):
+        raise DomainError(f"qlr_test needs a TimeSeries, got {type(series).__name__}")
     if not isinstance(p, (int, np.integer)) or p < 1:
         raise DomainError("autoregressive order must be a positive integer")
     T = len(series)

@@ -1,10 +1,13 @@
 """Lag-order selection by information criterion.
 
 All candidate orders 0..p_max are fit on the common sample that drops the
-first p_max observations, so their criterion values are comparable.  For a
-scalar series every candidate is a leading-column prefix of the p_max
-regression, whose one factorisation gives all their SSRs.  With T
-effective observations,
+first p_max observations, so their criterion values are comparable.  Every
+candidate regresses on a leading-column prefix of the p_max lag design
+(`ols.lag_design`), so one factorisation of that design gives them all: the
+SSR of each order for a scalar series, and for a system the residual
+cross-product of the first j columns, E'E + sum_{i >= j} c_i c_i', with E
+the p_max residuals and c_i row i of C in [X | Y] = Q [[r, C], [0, S]]
+(Lütkepohl 2005, §4.3).  With T effective observations,
 
     scalar:  BIC(p) = ln(SSR(p) / T) + (p + 1) ln(T) / T
     system:  BIC(p) = ln det(Sigma_uu(p)) + k (k p + 1) ln(T) / T
@@ -21,7 +24,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import DomainError
-from .ols import solve_ols
+from .ols import common_length, lag_design, solve_ols
 from .series import TimeSeries
 
 __all__ = ["CriterionRow", "CriterionTable", "select_ar_order", "select_var_order"]
@@ -80,8 +83,7 @@ def select_ar_order(series: TimeSeries, p_max: int, criterion: str = "bic") -> C
             f"p_max = {p_max} leaves only {max(t_eff, 0)} effective observations"
         )
     v = series.values
-    X = np.column_stack([np.ones(t_eff)] + [v[p_max - i : T_raw - i] for i in range(1, p_max + 1)])
-    names = ["const"] + [f"y.l{i}" for i in range(1, p_max + 1)]
+    X, names = lag_design(v[:, None], ("y",), p_max)
     # order p regresses on the first p + 1 columns of the p_max design
     ssr = solve_ols(X, v[p_max:], names).qr.prefix_ssr()
     w = penalty(t_eff)
@@ -104,41 +106,33 @@ def select_var_order(
     names = list(data)
     if not names:
         raise DomainError("at least one series is required")
-    lengths = {name: len(data[name]) for name in names}
-    if len(set(lengths.values())) > 1:
-        raise DomainError(f"series lengths differ: {lengths}")
     k = len(names)
-    T_raw = lengths[names[0]]
-    t_eff = T_raw - p_max
+    t_eff = common_length(data, names) - p_max
     if k * p_max + 1 >= t_eff:
         raise DomainError(
             f"p_max = {p_max} needs k*p_max + 1 < {t_eff} effective observations"
         )
     V = np.column_stack([data[name].values for name in names])  # (T_raw, k)
-    Y = V[p_max:]
+    X, columns = lag_design(V, names, p_max)
+    fits = solve_ols(X, V[p_max:], columns)
+    E = np.column_stack([f.residuals for f in fits])
+    # tails[j] = sum of c_i c_i' over rows i >= j of C; order p keeps the first 1 + k p columns
+    C = np.vstack([np.column_stack([f.qr.c for f in fits]), np.zeros(k)])
+    tails = np.cumsum((C[:, :, None] * C[:, None, :])[::-1], axis=0)[::-1]
+    orders = np.arange(p_max + 1)
+    sigma = (E.T @ E + tails[1 + k * orders]) / t_eff
+    sign, logdet = np.linalg.slogdet(sigma)
+    if np.any(sign <= 0):
+        p = int(np.argmax(sign <= 0))
+        worst = names[int(np.argmin(np.diag(sigma[p])))]
+        raise DomainError(
+            f"residual covariance is singular at p = {p}; equation {worst!r} is degenerate"
+        )
     w = penalty(t_eff)
     rows = []
     for p in range(p_max + 1):
-        cols = [np.ones(t_eff)]
-        for i in range(1, p + 1):
-            cols.append(V[p_max - i : T_raw - i, :])
-        X = np.column_stack(cols)
-        col_names = ["const"]
-        for i in range(1, p + 1):
-            col_names += [f"{name}.l{i}" for name in names]
-        U = np.empty((t_eff, k))
-        for j in range(k):
-            U[:, j] = solve_ols(X, Y[:, j], col_names).residuals
-        sigma = U.T @ U / t_eff
-        sign, logdet = np.linalg.slogdet(sigma)
-        if sign <= 0:
-            variances = np.diag(sigma)
-            worst = names[int(np.argmin(variances))]
-            raise DomainError(
-                f"residual covariance is singular at p = {p}; equation {worst!r} is degenerate"
-            )
-        value = float(logdet + k * (k * p + 1) * w / t_eff)
-        rows.append(CriterionRow(p=p, value=value, fit_measure=float(logdet)))
+        value = float(logdet[p] + k * (k * p + 1) * w / t_eff)
+        rows.append(CriterionRow(p=p, value=value, fit_measure=float(logdet[p])))
     return CriterionTable(
         criterion=criterion, rows=tuple(rows), chosen_p=_choose(rows), t_effective=t_eff
     )

@@ -4,13 +4,15 @@ Regressions are declared as a :class:`DesignSpec`: a response reference plus
 a list of term objects (intercept, lags, trend, break dummies and their lag
 interactions, contemporaneous levels, and lead/lag differences).  The
 builder aligns all terms on a common effective sample, trimming exactly as
-many observations from each end as the terms require.
+many observations from each end as the terms require.  :func:`lag_design`
+builds the AR and VAR lag regression, whose lower orders are its prefixes.
 
 Least squares goes through one kernel, :func:`qr_lstsq`: one QR
-factorisation of [X | y] over a stack of designs, which also gives the F test
-of nested restrictions (:func:`exclusion_f_test`).  The one normal-equations
-path is :func:`ar_prefix_cross_products`, for AR(p) fits on every row prefix
-of a path: the break-date scan `breaks.chow_f_scan` and the rolling-origin
+factorisation of [X | Y] over a stack of designs, each with one response or
+several, which also gives the F test of nested restrictions
+(:func:`exclusion_f_test`).  The one normal-equations path is
+:func:`ar_prefix_cross_products`, for AR(p) fits on every row prefix of a
+path: the break-date scan `breaks.chow_f_scan` and the rolling-origin
 forecasts of `armodel.pseudo_out_of_sample_rmsfe`.  An extended precision
 normal-equations oracle lives in the test suite for cross checking.
 """
@@ -40,6 +42,8 @@ __all__ = [
     "QrFit",
     "FTest",
     "build_design",
+    "common_length",
+    "lag_design",
     "qr_lstsq",
     "solve_ols",
     "fit_design",
@@ -201,19 +205,10 @@ class Design:
 
 def build_design(spec: DesignSpec, data: Mapping[str, TimeSeries]) -> Design:
     """Materialize a :class:`DesignSpec` against named series of equal length."""
-    used = set()
-    for term in (spec.dependent, *spec.regressors):
-        name = getattr(term, "name", None)
-        if name is not None:
-            if name not in data:
-                raise DomainError(f"unknown series {name!r} in design")
-            used.add(name)
-    lengths = {name: len(data[name]) for name in used}
-    if len(set(lengths.values())) > 1:
-        raise DomainError(f"series lengths differ: {lengths}")
-    T = next(iter(lengths.values()))
+    terms = (spec.dependent, *spec.regressors)
+    T = common_length(data, dict.fromkeys(t.name for t in terms if hasattr(t, "name")))
 
-    windows = [_term_window(t) for t in (spec.dependent, *spec.regressors)]
+    windows = [_term_window(t) for t in terms]
     back = max(w[0] for w in windows)
     fwd = max(w[1] for w in windows)
     t0, t1 = back, T - 1 - fwd
@@ -255,6 +250,32 @@ def build_design(spec: DesignSpec, data: Mapping[str, TimeSeries]) -> Design:
     y = column(spec.dependent)
     names = tuple(_term_name(t) for t in spec.regressors)
     return Design(matrix=X, response=y, column_names=names, times=times)
+
+
+def common_length(data: Mapping[str, TimeSeries], names) -> int:
+    """The one length of the named series; an unknown name or a mismatch is an error."""
+    for name in names:
+        if name not in data:
+            raise DomainError(f"unknown series {name!r} in design")
+    lengths = {name: len(data[name]) for name in names}
+    if len(set(lengths.values())) > 1:
+        raise DomainError(f"series lengths differ: {lengths}")
+    return next(iter(lengths.values()))
+
+
+def lag_design(values: np.ndarray, names: Sequence[str], p: int) -> tuple:
+    """X (..., T - p, 1 + k p) for the rows p.. of values (..., T, k), and its names.
+
+    An intercept, then every series at lag 1, then every series at lag 2, ...
+    up to lag p, so the design of a lower order on the same rows is a prefix
+    of X.
+    """
+    T, k = values.shape[-2:]
+    X = np.empty(values.shape[:-2] + (T - p, 1 + k * p))
+    X[..., 0] = 1.0
+    for i in range(1, p + 1):
+        X[..., 1 + k * (i - 1) : 1 + k * i] = values[..., p - i : T - i, :]
+    return X, ("const",) + tuple(f"{nm}.l{i}" for i in range(1, p + 1) for nm in names)
 
 
 # --- least squares -----------------------------------------------------------
@@ -301,7 +322,10 @@ class QrFit(NamedTuple):
     """Least squares on a stack of designs, read off [X | y] = Q [[r, c], [0, rho]].
 
     r (..., k, k) is upper triangular, so the coefficients are r^-1 c, the SSR
-    is rho^2 and diag((X'X)^-1) holds the squared row norms of r^-1.
+    is rho^2 and diag((X'X)^-1) holds the squared row norms of r^-1.  The
+    responses of a multi-response fit are one more stack axis: r (..., 1, k, k)
+    is shared, c is (..., m, k) and rho (..., m), so :meth:`solve` and
+    :meth:`prefix_ssr` give one row per response.
     """
 
     r: np.ndarray
@@ -328,27 +352,39 @@ class QrFit(NamedTuple):
 def qr_lstsq(X: np.ndarray, y: np.ndarray) -> QrFit:
     """One QR factorisation of [X | y] for designs X (..., n, k), responses y (..., n).
 
+    A y of shape (..., n, m) holds m responses that share each design.  Then
+    [X | Y] = Q [[r, C], [0, S]]; c holds the columns of C and rho the signed
+    norms of the columns of S, the residual norm of each response.
     Requires n > k.  The rank is not checked here; :func:`solve_ols` does.
     """
     n, k = X.shape[-2:]
-    # [X | y], column-major in each design: the layout LAPACK factorises
-    a = np.empty(X.shape[:-2] + (k + 1, n)).swapaxes(-1, -2)
+    Y = y if y.ndim == X.ndim else y[..., None]
+    # [X | Y], column-major in each design: the layout LAPACK factorises
+    a = np.empty(X.shape[:-2] + (k + Y.shape[-1], n)).swapaxes(-1, -2)
     a[..., :k] = X
-    a[..., k] = y
+    a[..., k:] = Y
     f = np.linalg.qr(a, mode="r")
-    return QrFit(r=f[..., :k, :k], c=f[..., :k, k], rho=f[..., k, k], n_obs=n)
+    if Y is not y:
+        return QrFit(r=f[..., :k, :k], c=f[..., :k, k], rho=f[..., k, k], n_obs=n)
+    S = f[..., k:, k:]
+    # sqrt(s^2) = |s| exactly, so a one-row S keeps its value
+    rho = np.copysign(np.sqrt(np.sum(S * S, axis=-2)), S[..., 0, :])
+    return QrFit(r=f[..., None, :k, :k], c=f[..., :k, k:].swapaxes(-1, -2), rho=rho, n_obs=n)
 
 
-def solve_ols(X: np.ndarray, y: np.ndarray, column_names: Sequence[str] | None = None) -> OlsFit:
+def solve_ols(X: np.ndarray, y: np.ndarray, column_names: Sequence[str] | None = None):
     """Solve min ||y - X b|| by QR factorisation (:func:`qr_lstsq`).
 
+    A response y of shape (n,) gives one :class:`OlsFit`.  Y of shape (n, m)
+    gives a tuple of m fits, one per column, from one factorisation with one
+    rank check; fit j carries QrFit(r, C[:, j], rho_j, n).
     Raises :class:`CollinearityError` naming the offending columns when X is
     rank deficient (singular values of the triangular factor below
     max(m, n) * eps * sigma_max).
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.size:
+    if X.ndim != 2 or y.ndim not in (1, 2) or X.shape[0] != y.shape[0] or y.shape[1:] == (0,):
         raise DomainError("design matrix and response have incompatible shapes")
     m, k = X.shape
     if column_names is None:
@@ -361,10 +397,11 @@ def solve_ols(X: np.ndarray, y: np.ndarray, column_names: Sequence[str] | None =
         raise DomainError(f"{m} observations cannot identify {k} parameters")
 
     qr = qr_lstsq(X, y)
+    r = qr.r.reshape(k, k)
     # X and r share singular values.  The rank test needs them, and since
     # r^-1 = V diag(1/s) U' they also give the solution: a further LAPACK
     # call (QrFit.solve) would make small one-series fits ~15% slower.
-    U, s, Vt = np.linalg.svd(qr.r)
+    U, s, Vt = np.linalg.svd(r)
     tol = max(m, k) * np.finfo(float).eps * s[0]
     if s[-1] <= tol:  # s is sorted in decreasing order
         rank = int(np.sum(s > tol))
@@ -376,32 +413,40 @@ def solve_ols(X: np.ndarray, y: np.ndarray, column_names: Sequence[str] | None =
         offenders = [column_names[i] for i in sorted(piv[rank:])]
         raise CollinearityError(offenders)
 
-    beta = Vt.T @ ((U.T @ qr.c) / s)
-    fitted = X @ beta
-    resid = y - fitted
-    ssr = float(qr.rho**2)
-    ser = float(np.sqrt(ssr / (m - k)))
-
+    # one row per response
+    beta = ((qr.c @ U) / s) @ Vt
+    fitted = (X @ beta.T).T
+    resid = y.T - fitted
     # diag of (X'X)^-1 = (r'r)^-1 from the SVD: sum_j V[i,j]^2 / s_j^2
-    stderrs = ser * np.sqrt(np.einsum("ji,j->i", Vt**2, 1.0 / s**2))
-    # every standard error is positive at full rank, unless the fit is exact
-    t_stats = beta / stderrs if ser > 0.0 else np.full(k, np.nan)
+    scale = np.sqrt(np.einsum("ji,j->i", Vt**2, 1.0 / s**2))
+    r.flags.writeable = False
 
-    for arr in (beta, stderrs, t_stats, resid, fitted, qr.r, qr.c):
-        arr.flags.writeable = False
-    return OlsFit(
-        coefficients=beta,
-        stderrs=stderrs,
-        t_stats=t_stats,
-        residuals=resid,
-        fitted=fitted,
-        ssr=ssr,
-        ser=ser,
-        n_obs=m,
-        n_params=k,
-        column_names=column_names,
-        qr=qr,
-    )
+    def one_fit(beta, fitted, resid, c, rho) -> OlsFit:
+        ssr = float(rho**2)
+        ser = float(np.sqrt(ssr / (m - k)))
+        stderrs = ser * scale
+        # every standard error is positive at full rank, unless the fit is exact
+        t_stats = beta / stderrs if ser > 0.0 else np.full(k, np.nan)
+
+        for arr in (beta, stderrs, t_stats, resid, fitted, c):
+            arr.flags.writeable = False
+        return OlsFit(
+            coefficients=beta,
+            stderrs=stderrs,
+            t_stats=t_stats,
+            residuals=resid,
+            fitted=fitted,
+            ssr=ssr,
+            ser=ser,
+            n_obs=m,
+            n_params=k,
+            column_names=column_names,
+            qr=QrFit(r, c, rho, m),
+        )
+
+    if y.ndim == 1:
+        return one_fit(beta, fitted, resid, qr.c, qr.rho)
+    return tuple(map(one_fit, beta, fitted, resid, qr.c, qr.rho))
 
 
 def fit_design(spec: DesignSpec, data: Mapping[str, TimeSeries]) -> tuple[OlsFit, Design]:
@@ -469,11 +514,7 @@ def ar_prefix_cross_products(paths: np.ndarray, p: int) -> tuple:
     centred X (..., n, k) and y, then X'X, X'y and y'y over rows 0..m at
     index m of xx (..., n, k, k), xy (..., n, k) and yy (..., n).
     """
-    T = paths.shape[-1]
-    X = np.empty(paths.shape[:-1] + (T - p, p + 1))
-    X[..., 0] = 1.0
-    for i in range(1, p + 1):
-        X[..., i] = paths[..., p - i : T - i]
+    X = lag_design(paths[..., None], ("y",), p)[0]
     y = paths[..., p:] - paths[..., p:].mean(axis=-1, keepdims=True)
     X[..., 1:] -= X[..., 1:].mean(axis=-2, keepdims=True)
     xx = np.cumsum(np.einsum("...ti,...tj->...tij", X, X), axis=-3)

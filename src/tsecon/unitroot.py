@@ -156,6 +156,8 @@ def adf_test(
     cv_source=None,
 ) -> TestReport:
     """Unit-root test; rejection favors stationarity around the deterministic part."""
+    if not isinstance(series, TimeSeries):
+        raise DomainError(f"adf_test needs a TimeSeries, got {type(series).__name__}")
     spec = spec or AdfSpec()
     T = len(series)
     fixed = 0 if spec.lags == "auto" else int(spec.lags)

@@ -1,10 +1,11 @@
 """Vector autoregressions: estimation, stability, moments, forecasts, Granger tests.
 
-A VAR(p) is estimated equation by equation with a shared regressor matrix
-(intercept, then all variables at lag 1, all at lag 2, ...).  Columns of the
-coefficient matrices follow the variable order of the input mapping, so
-A_i[r, c] is the effect of variable c's i-th lag in the equation for
-variable r.
+A VAR(p) is estimated by OLS on the one lag design every equation shares
+(`ols.lag_design`: intercept, then all variables at lag 1, all at lag 2,
+...), with all k equations solved from one factorisation of [X | Y].
+Columns of the coefficient matrices follow the variable order of the input
+mapping, so A_i[r, c] is the effect of variable c's i-th lag in the equation
+for variable r.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .armodel import ForecastResult, iterate_linear_forecast
 from .dgp import companion_matrix
 from .errors import DomainError
 from .ols import DesignSpec, Intercept, Lag, Level, OlsFit, exclusion_f_test, fit_design
+from .ols import common_length, lag_design, solve_ols
 from .report import DEFAULT_LEVELS, TestReport, make_test_report
 from .series import TimeSeries
 
@@ -57,7 +59,12 @@ def _stability_from_matrices(coeff_matrices) -> StabilityReport:
 
 @dataclass(frozen=True)
 class VarFit:
-    """Equation-by-equation OLS estimates of a VAR(p)."""
+    """OLS estimates of a VAR(p).
+
+    equation_fits holds one OlsFit per equation, in the order of names.  They
+    share one factorisation of the common design, so their `qr` carry the
+    same r and each carries its own column of C and its own residual norm.
+    """
 
     names: tuple
     p: int
@@ -89,10 +96,6 @@ class VarFit:
         return self.equation_fits[self.names.index(name)]
 
 
-def _lag_regressors(names: Sequence[str], p: int) -> list:
-    return [Intercept()] + [Lag(nm, j) for j in range(1, p + 1) for nm in names]
-
-
 def fit_var(data: Mapping[str, TimeSeries], p: int, names: Sequence[str] | None = None) -> VarFit:
     """OLS estimation of a VAR(p) on named series of equal length."""
     if not isinstance(p, (int, np.integer)) or p < 1:
@@ -100,32 +103,24 @@ def fit_var(data: Mapping[str, TimeSeries], p: int, names: Sequence[str] | None 
     names = tuple(names) if names is not None else tuple(data)
     if not names:
         raise DomainError("a VAR needs at least one variable")
-    regressors = _lag_regressors(names, p)
-    fits = []
-    residual_cols = []
-    for nm in names:
-        fit, _ = fit_design(DesignSpec(Level(nm), regressors), data)
-        fits.append(fit)
-        residual_cols.append(fit.residuals)
     k = len(names)
-    n_obs = fits[0].n_obs
-    intercepts = np.array([f.coefficient("const") for f in fits])
-    mats = []
-    for i in range(1, p + 1):
-        A = np.empty((k, k))
-        for r, f in enumerate(fits):
-            for c, nm in enumerate(names):
-                A[r, c] = f.coefficient(f"{nm}.l{i}")
-        mats.append(A)
-    U = np.column_stack(residual_cols)
-    residual_cov = U.T @ U / n_obs
+    n_obs = common_length(data, names) - p
+    if n_obs < k * p + 2:
+        raise DomainError(
+            f"effective sample of {max(n_obs, 0)} rows cannot identify {k * p + 1} parameters"
+        )
+    V = np.column_stack([data[nm].values for nm in names])
+    X, columns = lag_design(V, names, p)
+    fits = solve_ols(X, V[p:], columns)
+    B = np.column_stack([f.coefficients for f in fits])  # row 0 intercepts, then lag blocks
+    U = np.column_stack([f.residuals for f in fits])
     return VarFit(
         names=names,
         p=int(p),
-        intercepts=intercepts,
-        coeff_matrices=tuple(mats),
-        residual_cov=residual_cov,
-        equation_fits=tuple(fits),
+        intercepts=B[0],
+        coeff_matrices=tuple(B[1:].reshape(p, k, k).swapaxes(1, 2)),
+        residual_cov=U.T @ U / n_obs,
+        equation_fits=fits,
         n_obs=n_obs,
     )
 

@@ -103,6 +103,9 @@ def test_chow_guards():
         chow_test(series, p=1, tau=1)  # first regime too small
     with pytest.raises(DomainError):
         chow_test(series, p=1, tau=98)  # second regime too small
+    for wrong, kind in ((series.values, "ndarray"), ({"y": series}, "dict")):
+        with pytest.raises(DomainError, match=f"^chow_test needs a TimeSeries, got {kind}$"):
+            chow_test(wrong, p=1, tau=50)
 
 
 def test_qlr_window_bounds():
@@ -166,6 +169,9 @@ def test_qlr_guards():
         qlr_test(series, p=0)
     with pytest.raises(DomainError):
         qlr_test(TimeSeries(np.full(100, 2.0)), p=1)  # constant: collinear scan
+    for wrong, kind in ((series.values, "ndarray"), ({"y": series}, "dict")):
+        with pytest.raises(DomainError, match=f"^qlr_test needs a TimeSeries, got {kind}$"):
+            qlr_test(wrong, p=1)
 
 
 def two_fit_chow_f(series, p, tau):

@@ -3,6 +3,7 @@ import pytest
 
 from tsecon import (
     ArProcess,
+    CollinearityError,
     DomainError,
     TimeSeries,
     select_ar_order,
@@ -10,6 +11,8 @@ from tsecon import (
     simulate,
 )
 from tsecon.ols import solve_ols
+
+from conftest import var_sample
 
 
 def test_bic_aic_differ_only_in_penalty():
@@ -128,3 +131,89 @@ def test_rows_match_per_order_fits(criterion):
             assert table.rows[p].fit_measure == pytest.approx(ssr, rel=1e-10)
             assert table.rows[p].value == pytest.approx(values[-1], rel=1e-10)
         assert table.chosen_p == int(np.argmin(values))
+
+
+def per_order_reference(data, p_max, criterion):
+    """The VAR order table by refitting every order and every equation on the common sample."""
+    names = list(data)
+    V = np.column_stack([data[nm].values for nm in names])
+    T_raw, k = V.shape
+    t_eff = T_raw - p_max
+    w = {"bic": np.log(t_eff), "aic": 2.0}[criterion]
+    logdets, values = [], []
+    for p in range(p_max + 1):
+        X = np.column_stack([np.ones(t_eff)] + [V[p_max - i : T_raw - i] for i in range(1, p + 1)])
+        U = np.column_stack([solve_ols(X, V[p_max:, j]).residuals for j in range(k)])
+        sign, logdet = np.linalg.slogdet(U.T @ U / t_eff)
+        assert sign > 0
+        logdets.append(logdet)
+        values.append(logdet + k * (k * p + 1) * w / t_eff)
+    return logdets, values
+
+
+@pytest.mark.parametrize("criterion", ["bic", "aic"])
+@pytest.mark.parametrize("p_max", [1, 4, 8])
+@pytest.mark.parametrize("level", [0.0, 400.0])
+@pytest.mark.parametrize("T", [60, 500])
+@pytest.mark.parametrize("k", [2, 3])
+def test_var_rows_match_per_order_fits(k, T, level, p_max, criterion):
+    data = var_sample(k, T, level, seed=100 * k + T + p_max)
+    table = select_var_order(data, p_max, criterion=criterion)
+    logdets, values = per_order_reference(data, p_max, criterion)
+    assert table.t_effective == T - p_max
+    assert [r.p for r in table.rows] == list(range(p_max + 1))
+    for row, logdet, value in zip(table.rows, logdets, values):
+        assert abs(row.fit_measure - logdet) <= 1e-10
+        assert abs(row.value - value) <= 1e-10
+    assert table.chosen_p == int(np.argmin(values))
+
+
+def test_var_selection_makes_one_fit(monkeypatch):
+    import tsecon.lagselect
+
+    calls = []
+
+    def counting_solve_ols(*args):
+        calls.append(args)
+        return solve_ols(*args)
+
+    monkeypatch.setattr(tsecon.lagselect, "solve_ols", counting_solve_ols)
+    select_var_order(var_sample(3, 200, 0.0, seed=5), 8)
+    assert len(calls) == 1
+    assert calls[0][0].shape == (192, 25) and calls[0][1].shape == (192, 3)
+
+
+def degenerate_pairs(T=200):
+    a = simulate(ArProcess(betas=(0.5,), seed=3), T).values
+    b = simulate(ArProcess(betas=(0.3,), seed=4), T).values
+    return a, b
+
+
+@pytest.mark.parametrize("kind", ["duplicate", "constant", "linear"])
+def test_var_selection_on_degenerate_pairs(kind):
+    a, b = degenerate_pairs()
+    other = {"duplicate": a, "constant": np.full(200, 5.0), "linear": 2.0 * a + 1.0}[kind]
+    # one factorisation at p_max finds the redundant lag columns; a duplicated
+    # or linear pair used to fail as a singular covariance at p = 0, which is
+    # also a DomainError
+    with pytest.raises(CollinearityError):
+        select_var_order({"a": TimeSeries(a), "b": TimeSeries(other)}, 4)
+
+
+def test_var_selection_singular_covariance_without_collinear_lags():
+    a, _ = degenerate_pairs()
+    with pytest.raises(DomainError) as exc:
+        select_var_order({"a": TimeSeries(a), "b": TimeSeries(2.0 * a + 1.0)}, 0)
+    assert type(exc.value) is DomainError
+    assert str(exc.value) == "residual covariance is singular at p = 0; equation 'a' is degenerate"
+
+
+def test_var_selection_guard_messages():
+    a, b = degenerate_pairs()
+    with pytest.raises(DomainError, match=r"^series lengths differ: \{'a': 200, 'b': 199\}$"):
+        select_var_order({"a": TimeSeries(a), "b": TimeSeries(b[:199])}, 4)
+    with pytest.raises(DomainError,
+                       match=r"^p_max = 4 needs k\*p_max \+ 1 < 2 effective observations$"):
+        select_var_order({"a": TimeSeries(a[:6]), "b": TimeSeries(b[:6])}, 4)
+    with pytest.raises(DomainError, match="p_max must be a nonnegative integer"):
+        select_var_order({"a": TimeSeries(a), "b": TimeSeries(b)}, -1)

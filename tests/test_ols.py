@@ -12,6 +12,8 @@ from tsecon import (
     solve_ols,
 )
 from tsecon.ols import (
+    exclusion_f_test,
+    lag_design,
     qr_lstsq,
     BreakDummy,
     BreakLagInteraction,
@@ -23,7 +25,7 @@ from tsecon.ols import (
     Trend,
 )
 
-from conftest import mp_ols_coefficients
+from conftest import close, mp_ols_coefficients
 
 
 def random_instance(rng, n, k):
@@ -257,3 +259,103 @@ def test_qr_lstsq_stack_equals_row_by_row_fits(rng, R, n, trend):
         assert ols.ssr == pytest.approx(ssr[0], rel=1e-10)
         assert np.array_equal(ols.qr.prefix_ssr(), row.prefix_ssr())
         assert np.allclose(ols.stderrs, row.solve()[1], rtol=1e-12, atol=0.0)
+
+
+def shared_design_responses(rng, n, k, m, level):
+    """One design (const, a random walk, noise columns) and m responses around `level`."""
+    X, _ = stacked_designs(rng, 1, n, k, trend=False)
+    X = X[0] + np.r_[0.0, np.full(k - 1, level)]
+    Y = level + X @ rng.normal(size=(k, m)) + rng.normal(size=(n, m))
+    return X, Y
+
+
+@pytest.mark.parametrize("m", [1, 3])
+@pytest.mark.parametrize("n, level", [(60, 0.0), (500, 400.0), (5000, 0.0)])
+def test_several_responses_equal_one_fit_per_column(rng, m, n, level):
+    X, Y = shared_design_responses(rng, n, 5, m, level)
+    qr = qr_lstsq(X, Y)
+    assert qr.r.shape == (1, 5, 5) and qr.c.shape == (m, 5) and qr.rho.shape == (m,)
+    fits = solve_ols(X, Y, list("abcde"))
+    assert isinstance(fits, tuple) and len(fits) == m
+    for j, fit in enumerate(fits):
+        one_qr = qr_lstsq(X, Y[:, j])
+        assert close(qr.c[j], one_qr.c, 1e-12)
+        assert qr.rho[j] ** 2 == pytest.approx(one_qr.rho**2, rel=1e-12)
+        one = solve_ols(X, Y[:, j], list("abcde"))
+        for field in ("coefficients", "stderrs", "t_stats", "residuals", "fitted"):
+            assert close(getattr(fit, field), getattr(one, field), 1e-12), field
+        assert fit.ssr == pytest.approx(one.ssr, rel=1e-12)
+        assert fit.ser == pytest.approx(one.ser, rel=1e-12)
+        assert (fit.n_obs, fit.n_params, fit.column_names) == (n, 5, tuple("abcde"))
+        assert fit.qr.prefix_ssr() == pytest.approx(one.qr.prefix_ssr(), rel=1e-12)
+        assert np.array_equal(fit.qr.r, fits[0].qr.r)
+        for arr in (fit.coefficients, fit.residuals, fit.qr.r, fit.qr.c):
+            assert not arr.flags.writeable
+    if m == 1:
+        # one response in a column runs the code of a 1-d response, bit for bit
+        one_qr, one = qr_lstsq(X, Y[:, 0]), solve_ols(X, Y[:, 0], list("abcde"))
+        assert np.array_equal(qr.r[0], one_qr.r) and np.array_equal(qr.c[0], one_qr.c)
+        assert qr.rho[0] == one_qr.rho
+        for field in ("coefficients", "stderrs", "t_stats", "residuals", "fitted"):
+            assert np.array_equal(getattr(fits[0], field), getattr(one, field)), field
+        assert (fits[0].ssr, fits[0].ser, fits[0].qr.rho) == (one.ssr, one.ser, one.qr.rho)
+
+
+def test_several_responses_over_a_stack_of_designs(rng):
+    X, _ = stacked_designs(rng, 4, 90, 4, trend=True)
+    Y = rng.normal(size=(4, 90, 3))
+    qr = qr_lstsq(X, Y)
+    assert qr.c.shape == (4, 3, 4) and qr.rho.shape == (4, 3)
+    # the responses are a stack axis, so solve and prefix_ssr give one row per response
+    beta, stderrs = qr.solve()
+    prefix = qr.prefix_ssr()
+    assert beta.shape == stderrs.shape == (4, 3, 4) and prefix.shape == (4, 3, 5)
+    for r in range(4):
+        for j in range(3):
+            one = qr_lstsq(X[r], Y[r, :, j])
+            assert close(qr.c[r, j], one.c, 1e-12)
+            assert qr.rho[r, j] ** 2 == pytest.approx(one.rho**2, rel=1e-12)
+            one_beta, one_stderrs = one.solve()
+            assert close(beta[r, j], one_beta, 1e-12)
+            assert close(stderrs[r, j], one_stderrs, 1e-12)
+            assert close(prefix[r, j], one.prefix_ssr(), 1e-12)
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_exclusion_f_on_an_equation_fit_equals_two_fits(rng, q):
+    X, Y = shared_design_responses(rng, 120, 5, 3, 50.0)
+    for j, fit in enumerate(solve_ols(X, Y)):
+        ref = f_statistic(solve_ols(X[:, : 5 - q], Y[:, j]), solve_ols(X, Y[:, j]), q=q)
+        got = exclusion_f_test(fit, q)
+        assert got.statistic == pytest.approx(ref.statistic, rel=1e-10)
+        assert (got.df_num, got.df_den) == (ref.df_num, ref.df_den)
+
+
+def test_several_responses_shape_guards_and_rank_check(rng):
+    X, Y = shared_design_responses(rng, 40, 3, 2, 0.0)
+    with pytest.raises(DomainError):
+        solve_ols(X, Y[:30])
+    with pytest.raises(DomainError):
+        solve_ols(X, Y[None])
+    with pytest.raises(DomainError):
+        solve_ols(X, Y[:, :0])
+    X[:, 2] = 2.0 * X[:, 1]
+    with pytest.raises(CollinearityError) as exc:
+        solve_ols(X, Y, column_names=("const", "z", "z2"))
+    assert "z" in str(exc.value) or "z2" in str(exc.value)
+
+
+def test_lag_design_layout():
+    values = np.column_stack([np.arange(10.0), 100.0 + np.arange(10.0)])
+    X, names = lag_design(values, ("a", "b"), 2)
+    assert names == ("const", "a.l1", "b.l1", "a.l2", "b.l2")
+    assert X.shape == (8, 5)
+    assert np.array_equal(X[:, 0], np.ones(8))
+    assert np.array_equal(X[:, 1], np.arange(1.0, 9.0))  # rows 2..9 at lag 1
+    assert np.array_equal(X[:, 4], 100.0 + np.arange(0.0, 8.0))
+    # a stack of paths gives each path its own design
+    stack = np.stack([values, 2.0 * values])
+    Xs, _ = lag_design(stack, ("a", "b"), 2)
+    assert np.array_equal(Xs[0], X) and np.array_equal(Xs[1][:, 1:], 2.0 * X[:, 1:])
+    # a lower order on the same rows is a prefix: order 1 on rows 2.. of the series
+    assert np.array_equal(lag_design(values[1:], ("a", "b"), 1)[0], X[:, :3])

@@ -202,6 +202,12 @@ def test_an_exact_relation_alternative_rejects_every_replication():
      "critical values cover 1 to 4 regressors, got 5"),
     ("egadf", {"y": RandomWalk(), "x": RandomWalk()}, {"y": "y", "xs": ["z"]}, 100, DomainError,
      "data is missing series 'z'"),
+    # a mapping spec draws a dict of series, which the single-series tests refuse
+    ("adf", {"y": RandomWalk()}, {}, 100, DomainError, "adf_test needs a TimeSeries, got dict"),
+    ("qlr", {"y": WhiteNoise()}, {"p": 1}, 100, DomainError,
+     "qlr_test needs a TimeSeries, got dict"),
+    ("chow", {"y": WhiteNoise()}, {"p": 1, "tau": 50}, 100, DomainError,
+     "chow_test needs a TimeSeries, got dict"),
 ])
 def test_suite_errors_are_the_public_tests(test, null_spec, params, T, error, message):
     with pytest.raises(error) as caught:

@@ -94,6 +94,10 @@ def test_adf_test_report_shape_and_decision():
 def test_adf_test_guards():
     with pytest.raises(DomainError):
         adf_test(TimeSeries(np.arange(15.0)))
+    walk = simulate(RandomWalk(seed=1), 100)
+    for wrong, kind in ((walk.values, "ndarray"), ({"y": walk}, "dict"), (None, "NoneType")):
+        with pytest.raises(DomainError, match=f"^adf_test needs a TimeSeries, got {kind}$"):
+            adf_test(wrong)
     series = simulate(RandomWalk(seed=1), 30)
     with pytest.raises(DomainError):
         adf_test(series, AdfSpec(lags=25))

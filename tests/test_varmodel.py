@@ -5,6 +5,7 @@ import pytest
 
 from tsecon import (
     ArProcess,
+    CollinearityError,
     DomainError,
     TimeSeries,
     VarProcess,
@@ -21,8 +22,20 @@ from tsecon import (
     var_autocovariances,
     var_mean,
 )
-from tsecon.ols import DesignSpec, Intercept, Lag, Level, f_statistic, fit_design
+from tsecon.ols import (
+    DesignSpec,
+    Intercept,
+    Lag,
+    Level,
+    exclusion_f_test,
+    f_statistic,
+    fit_design,
+    lag_design,
+    solve_ols,
+)
 from tsecon.report import DEFAULT_LEVELS, decide, p_bracket
+
+from conftest import close, var_sample
 
 STABLE_SPEC = VarProcess(
     delta=(0.5, -0.2),
@@ -252,3 +265,88 @@ def test_granger_one_fit_matches_two_fits(cause, effect, T):
     assert rep.decision == decision
     assert rep.nuisance == {"cause": cause, "effect": effect, "p": p, "n_obs": n_obs,
                             "p_bracket": p_bracket(decision)}
+
+
+@pytest.mark.parametrize("p", [1, 2, 4])
+@pytest.mark.parametrize("level", [0.0, 400.0])
+@pytest.mark.parametrize("T", [60, 500])
+@pytest.mark.parametrize("k", [2, 3])
+def test_fit_var_matches_one_fit_per_equation(k, T, level, p):
+    data = var_sample(k, T, level, seed=10 * k + T + p)
+    names = tuple(data)
+    regressors = [Intercept()] + [Lag(nm, i) for i in range(1, p + 1) for nm in names]
+    refs = [fit_design(DesignSpec(Level(nm), regressors), data)[0] for nm in names]
+    fit = fit_var(data, p)
+    assert fit.names == names and fit.p == p and fit.n_obs == T - p
+    assert close(fit.intercepts, [r.coefficient("const") for r in refs], 1e-10)
+    for i, A in enumerate(fit.coeff_matrices, start=1):
+        ref = [[r.coefficient(f"{c}.l{i}") for c in names] for r in refs]
+        assert A.shape == (k, k) and close(A, ref, 1e-10)
+    U = np.column_stack([r.residuals for r in refs])
+    assert close(fit.residual_cov, U.T @ U / (T - p), 1e-10)
+    for eq, ref in zip(fit.equation_fits, refs):
+        for field in ("coefficients", "stderrs", "t_stats", "residuals", "fitted"):
+            assert close(getattr(eq, field), getattr(ref, field), 1e-10), field
+        assert eq.ssr == pytest.approx(ref.ssr, rel=1e-10)
+        assert eq.ser == pytest.approx(ref.ser, rel=1e-10)
+        assert (eq.n_obs, eq.n_params, eq.column_names) == (
+            ref.n_obs, ref.n_params, ref.column_names)
+        assert close(eq.qr.prefix_ssr(), ref.qr.prefix_ssr(), 1e-10)
+    assert fit.equation("y2") is fit.equation_fits[1]
+    for arr in (fit.intercepts, fit.residual_cov, *fit.coeff_matrices):
+        assert not arr.flags.writeable
+
+
+def test_fit_var_makes_one_fit_and_builds_no_design(monkeypatch):
+    import tsecon.ols
+    import tsecon.varmodel
+
+    calls = {"solve_ols": 0, "build_design": 0}
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(tsecon.varmodel, "solve_ols", counting("solve_ols", solve_ols))
+    for name in ("build_design", "solve_ols"):
+        monkeypatch.setattr(tsecon.ols, name, counting(name, getattr(tsecon.ols, name)))
+    fit_var(var_sample(3, 200, 0.0, seed=1), 2)
+    assert calls == {"solve_ols": 1, "build_design": 0}
+
+
+def test_fit_var_equation_fits_give_exclusion_tests():
+    # every equation fit carries its own column of the shared factorisation
+    data = var_sample(2, 300, 0.0, seed=4)
+    fit = fit_var(data, 2)
+    V = np.column_stack([s.values for s in data.values()])
+    X, _ = lag_design(V, fit.names, 2)
+    for j, eq in enumerate(fit.equation_fits):
+        ref = f_statistic(solve_ols(X[:, :3], V[2:, j]), solve_ols(X, V[2:, j]), q=2)
+        assert exclusion_f_test(eq, 2).statistic == pytest.approx(ref.statistic, rel=1e-10)
+
+
+@pytest.mark.parametrize("kind", ["duplicate", "constant", "linear"])
+def test_fit_var_on_degenerate_pairs(kind):
+    a = simulate(ArProcess(betas=(0.5,), seed=3), 200).values
+    other = {"duplicate": a, "constant": np.full(200, 5.0), "linear": 2.0 * a + 1.0}[kind]
+    with pytest.raises(CollinearityError):
+        fit_var({"a": TimeSeries(a), "b": TimeSeries(other)}, 2)
+
+
+def test_fit_var_guard_messages():
+    a = simulate(ArProcess(betas=(0.5,), seed=3), 200).values
+    b = simulate(ArProcess(betas=(0.3,), seed=4), 200).values
+    data = {"a": TimeSeries(a), "b": TimeSeries(b)}
+    with pytest.raises(DomainError, match=r"^series lengths differ: \{'a': 200, 'b': 199\}$"):
+        fit_var({"a": TimeSeries(a), "b": TimeSeries(b[:199])}, 2)
+    with pytest.raises(DomainError, match=r"^unknown series 'zz' in design$"):
+        fit_var(data, 2, names=("a", "zz"))
+    with pytest.raises(DomainError,
+                       match=r"^effective sample of 4 rows cannot identify 5 parameters$"):
+        fit_var({"a": TimeSeries(a[:6]), "b": TimeSeries(b[:6])}, 2)
+    with pytest.raises(DomainError, match=r"^VAR order must be a positive integer$"):
+        fit_var(data, 0)
+    with pytest.raises(DomainError, match=r"^a VAR needs at least one variable$"):
+        fit_var({}, 1)
