@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DomainError
 from .ols import DesignSpec, Intercept, Lag, Level, OlsFit, ar_prefix_cross_products, fit_design
-from .series import TimeSeries
+from .series import TimeSeries, require_series
 
 __all__ = [
     "LagPolynomial",
@@ -118,6 +118,7 @@ def _check_order(p) -> None:
 
 def fit_ar(series: TimeSeries, p: int) -> ArFit:
     """Estimate Y_t = b0 + b1 Y_{t-1} + ... + bp Y_{t-p} + u_t by OLS."""
+    require_series("fit_ar", series)
     _check_order(p)
     T = len(series)
     if T <= 2 * (p + 1):
@@ -215,7 +216,7 @@ class ForecastResult:
     label: str | None = None
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.point_forecasts, dtype=float)
+        arr = np.array(self.point_forecasts, dtype=float)
         arr.flags.writeable = False
         object.__setattr__(self, "point_forecasts", arr)
 
@@ -252,6 +253,7 @@ def forecast_ar(fit: ArFit, history: TimeSeries, horizon: int) -> ForecastResult
     """Iterated point forecasts from an estimated AR(p)."""
     if not isinstance(horizon, (int, np.integer)) or horizon < 1:
         raise DomainError("forecast horizon must be a positive integer")
+    require_series("forecast_ar", history)
     p = fit.order
     if len(history) < p:
         raise DomainError(f"history must contain at least {p} observations")
@@ -283,6 +285,7 @@ def pseudo_out_of_sample_rmsfe(series: TimeSeries, p: int, split: float) -> floa
     The shortest window is fitted by :func:`fit_ar`: its rank and sample-size
     checks then hold for every longer window, which contains its rows.
     """
+    require_series("pseudo_out_of_sample_rmsfe", series)
     _check_order(p)
     if not isinstance(split, numbers.Real) or not 0.0 < split < 1.0:
         raise DomainError("split must lie strictly between 0 and 1")

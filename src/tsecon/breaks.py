@@ -13,21 +13,22 @@ import numpy as np
 
 from .cvcache import default_cache
 from .errors import DomainError
-from .ols import (
-    BreakDummy,
-    BreakLagInteraction,
-    DesignSpec,
-    Intercept,
-    Lag,
-    Level,
-    ar_prefix_cross_products,
-    exclusion_f_test,
-    fit_design,
-)
+from .ols import ar_prefix_cross_products, exclusion_f_test, lag_design, solve_ols
 from .report import DEFAULT_LEVELS, TestReport, make_test_report
-from .series import TimeSeries
+from .series import TimeSeries, require_series
 
 __all__ = ["chow_test", "qlr_test", "qlr_window", "chow_f_scan"]
+
+
+def chow_design(paths: np.ndarray, p: int, tau: int, name: str = "y") -> tuple:
+    """X, y and column names of the Chow regression of every row of paths (..., T).
+
+    The AR(p) `ols.lag_design`, then the p + 1 excluded columns: it times D_t(tau) = 1{t <= tau}.
+    """
+    base, names = lag_design(paths[..., None], (name,), p)
+    d = (np.arange(p, paths.shape[-1]) <= tau)[:, None]
+    names += (f"D({tau})",) + tuple(f"D({tau})*{name}.l{j}" for j in range(1, p + 1))
+    return np.concatenate([base, d * base], axis=-1), paths[..., p:], names
 
 
 def chow_test(series: TimeSeries, p: int, tau: int, levels=DEFAULT_LEVELS) -> TestReport:
@@ -37,8 +38,7 @@ def chow_test(series: TimeSeries, p: int, tau: int, levels=DEFAULT_LEVELS) -> Te
     Both regimes must contribute at least p + 2 effective observations.
     One fit of the unrestricted AR(p) with break terms gives the F statistic.
     """
-    if not isinstance(series, TimeSeries):
-        raise DomainError(f"chow_test needs a TimeSeries, got {type(series).__name__}")
+    require_series("chow_test", series)
     if not isinstance(p, (int, np.integer)) or p < 1:
         raise DomainError("autoregressive order must be a positive integer")
     if not isinstance(tau, (int, np.integer)):
@@ -52,12 +52,8 @@ def chow_test(series: TimeSeries, p: int, tau: int, levels=DEFAULT_LEVELS) -> Te
             f"break at position {tau} leaves regimes of {max(m1, 0)} and {max(m2, 0)} "
             f"observations; both need at least {p + 2}"
         )
-    name = series.label or "y"
-    data = {name: series}
-    base = [Intercept()] + [Lag(name, j) for j in range(1, p + 1)]
-    extra = [BreakDummy(tau)] + [BreakLagInteraction(tau, name, j) for j in range(1, p + 1)]
-    fit, _ = fit_design(DesignSpec(Level(name), base + extra), data)
-    ftest = exclusion_f_test(fit, q=p + 1)
+    X, y, names = chow_design(series.values, p, tau, series.label or "y")
+    ftest = exclusion_f_test(solve_ols(X, y, names), q=p + 1)
     return make_test_report(
         name="chow",
         statistic=ftest.statistic,
@@ -128,8 +124,7 @@ def qlr_test(
     cv_source=None,
 ) -> TestReport:
     """Sup-F break test over an interior window of candidate dates."""
-    if not isinstance(series, TimeSeries):
-        raise DomainError(f"qlr_test needs a TimeSeries, got {type(series).__name__}")
+    require_series("qlr_test", series)
     if not isinstance(p, (int, np.integer)) or p < 1:
         raise DomainError("autoregressive order must be a positive integer")
     T = len(series)

@@ -18,7 +18,7 @@ from .cvcache import default_cache
 from .errors import DomainError
 from .ols import DesignSpec, DiffLag, Intercept, Lag, Level, OlsFit, fit_design, qr_lstsq
 from .report import DEFAULT_LEVELS, TestReport, make_test_report
-from .series import TimeSeries, difference
+from .series import TimeSeries, difference, require_series
 from .unitroot import AdfSpec, adf_block_statistic, adf_statistic, adf_test
 
 __all__ = [
@@ -112,7 +112,7 @@ class CointFit:
     degenerate: bool = False
 
     def __post_init__(self) -> None:
-        t = np.asarray(self.theta, dtype=float)
+        t = np.array(self.theta, dtype=float)
         t.flags.writeable = False
         object.__setattr__(self, "theta", t)
 
@@ -131,6 +131,7 @@ def eg_adf_test(
     BIC-selected augmentation lags.  The decision compares the t-ratio
     against the left-tail critical values for the given regressor count.
     """
+    require_series("eg_adf_test", y)
     yname, xnames, data = _named_regressors(y, xs)
     m = len(xnames)
     if not 1 <= m <= 4:
@@ -256,7 +257,7 @@ class DolsFit:
     use_level_terms: bool = False
 
     def __post_init__(self) -> None:
-        t = np.asarray(self.theta, dtype=float)
+        t = np.array(self.theta, dtype=float)
         t.flags.writeable = False
         object.__setattr__(self, "theta", t)
 
@@ -276,6 +277,7 @@ def dols(
     """
     if not isinstance(p, (int, np.integer)) or p < 0:
         raise DomainError("lead/lag window must be a nonnegative integer")
+    require_series("dols", y)
     yname, xnames, data = _named_regressors(y, xs)
     terms = [Intercept()] + [Level(nm) for nm in xnames]
     window = []

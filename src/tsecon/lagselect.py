@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DomainError
 from .ols import common_length, lag_design, solve_ols
-from .series import TimeSeries
+from .series import TimeSeries, require_series
 
 __all__ = ["CriterionRow", "CriterionTable", "select_ar_order", "select_var_order"]
 
@@ -73,6 +73,7 @@ def _choose(rows) -> int:
 
 def select_ar_order(series: TimeSeries, p_max: int, criterion: str = "bic") -> CriterionTable:
     """Pick the AR order in 0..p_max minimizing the criterion."""
+    require_series("select_ar_order", series)
     penalty = _check_criterion(criterion)
     if not isinstance(p_max, (int, np.integer)) or p_max < 0:
         raise DomainError("p_max must be a nonnegative integer")

@@ -8,16 +8,16 @@ workers; sorting before quantile extraction removes the remaining order
 dependence.
 
 `_STATISTICS` below is the one list of tests: each entry gives the public
-report call size/power studies run and, for the statistics that can be
-simulated, their parameters, tail, null process and block evaluator.
+report call size/power studies run, its tail and block evaluator and, for
+the statistics that can be simulated, their parameters and null process.
 
-A block evaluator runs a public test's own statistic on an (R, T) block of
-paths: `unitroot.adf_block_statistic` for ADF,
-`cointegration.eg_adf_block_statistic` for EG-ADF and `breaks.chow_f_scan`
-for QLR.  `mc-critical` chunks evaluate their null paths with it, and so do
-size/power studies, which run the full public test on the first replication
-of each chunk and branch only: that call validates the data, warns, resolves
-the critical values and gives the tail, and the block statistics of the
+A block evaluator runs a public test's own statistic, from the test's own
+design builder, on a block of replications: `adf_block_statistic`,
+`eg_adf_block_statistic`, `chow_f_scan` (QLR), and `qr_lstsq` of
+`chow_design` or `granger_design`.  `mc-critical` chunks evaluate their null
+paths with it, and so do size/power studies, which run the full public test
+on the first replication of each chunk and branch only: that call validates
+the data, warns, resolves the critical values and gives the tail, and the
 other replications are decided against its critical value.
 """
 
@@ -29,15 +29,16 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .breaks import chow_f_scan, chow_test, qlr_test, qlr_window
+from .breaks import chow_design, chow_f_scan, chow_test, qlr_test, qlr_window
 from .cointegration import eg_adf_block_statistic, eg_adf_test
 from .cvcache import CvEntry
 from .dgp import GENERATOR_NAME, RandomWalk, WhiteNoise, rng_for, sample_values, simulate
 from .errors import DomainError
+from .ols import qr_lstsq
 from .report import DEFAULT_LEVELS
 from .series import TimeSeries
 from .unitroot import _FIXED_COLUMNS, AdfSpec, adf_block_statistic, adf_test
-from .varmodel import granger_test
+from .varmodel import granger_design, granger_test
 
 __all__ = ["McRun", "mc_critical_values", "SizePower", "size_power_suite"]
 
@@ -77,6 +78,17 @@ def _qlr_block(parsed, paths: np.ndarray) -> np.ndarray:
 
 def _egadf_block(parsed, paths: np.ndarray) -> np.ndarray:
     return eg_adf_block_statistic(paths)
+
+
+def _chow_block(parsed, paths: np.ndarray) -> np.ndarray:
+    p, tau = parsed
+    X, y, _ = chow_design(paths, p, tau)
+    return qr_lstsq(X, y).exclusion_f(p + 1)
+
+
+def _granger_block(p, paths: np.ndarray) -> np.ndarray:
+    X, _ = granger_design(paths, p, ("effect", "cause"))
+    return qr_lstsq(X, paths[:, p:, 0]).exclusion_f(p)
 
 
 def _adf_chunk(parsed, T: int, seed: int, start: int, stop: int) -> np.ndarray:
@@ -161,13 +173,15 @@ def _egadf_params(params):
 # size/power studies validate their params once, before any simulation.
 
 
-def _adf_args(params) -> AdfSpec:
-    deterministic, lags = _adf_params(params)[1]
-    return AdfSpec(lags=lags, deterministic=deterministic)
+def _adf_args(params):
+    deterministic, lags = parsed = _adf_params(params)[1]
+    AdfSpec(lags=lags, deterministic=deterministic)  # the public test takes no "none"
+    return parsed
 
 
-def _adf_report(data, cv_source, spec: AdfSpec):
-    return adf_test(data, spec, cv_source=cv_source)
+def _adf_report(data, cv_source, args):
+    deterministic, lags = args
+    return adf_test(data, AdfSpec(lags=lags, deterministic=deterministic), cv_source=cv_source)
 
 
 def _qlr_args(params):
@@ -218,12 +232,13 @@ def _egadf_report(data, cv_source, args):
 # Each `_*_rows` turns drawn replications into the block evaluator's input.
 
 
-def _adf_rows(spec: AdfSpec, rows):
-    return (spec.deterministic, spec.lags), np.stack([data.values for data in rows])
-
-
-def _qlr_rows(args, rows):
+def _series_rows(args, rows):
     return args, np.stack([data.values for data in rows])
+
+
+def _granger_rows(args, rows):
+    cause, effect, p = args
+    return p, np.stack([np.column_stack([row[effect].values, row[cause].values]) for row in rows])
 
 
 def _egadf_rows(args, rows):
@@ -242,43 +257,42 @@ class _Statistic:
 
       args    size/power params -> the report call's validated arguments
       report  (data, cv_source, args) -> TestReport, None meaning reject
+      block   (parsed, paths) -> the report's statistic for every path of a block
+      rows    (args, drawn data of several replications) -> (parsed, paths)
 
     Only simulated statistics have the rest:
       parse   params -> (canonical cache params, `parsed`)
       chunk   (parsed, T, seed, start, stop) -> statistics of those null replications
       flags   (mc-critical option dest, parameter name) pairs
-      block   (parsed, paths) -> the report's statistic for every path of a block
-      rows    (args, drawn data of several replications) -> (parsed, paths)
     """
 
     tail: str
     args: Callable
     report: Callable
+    block: Callable
+    rows: Callable
     null_dgp: str = ""
     parse: Callable | None = None
     chunk: Callable | None = None
     flags: tuple = ()
-    block: Callable | None = None
-    rows: Callable | None = None
 
 
 _STATISTICS = {
     "adf": _Statistic(
-        "left", _adf_args, _adf_report, "driftless standard Gaussian random walk",
+        "left", _adf_args, _adf_report, _adf_block, _series_rows,
+        "driftless standard Gaussian random walk",
         _adf_params, _adf_chunk, (("det", "deterministic"), ("lags", "lags")),
-        _adf_block, _adf_rows,
     ),
     "qlr": _Statistic(
-        "right", _qlr_args, _qlr_report, "Gaussian white noise",
+        "right", _qlr_args, _qlr_report, _qlr_block, _series_rows, "Gaussian white noise",
         _qlr_params, _qlr_chunk, (("p", "p"), ("trim", "trim")),
-        _qlr_block, _qlr_rows,
     ),
-    "chow": _Statistic("right", _chow_args, _chow_report),
-    "granger": _Statistic("right", _granger_args, _granger_report),
+    "chow": _Statistic("right", _chow_args, _chow_report, _chow_block, _series_rows),
+    "granger": _Statistic("right", _granger_args, _granger_report, _granger_block, _granger_rows),
     "egadf": _Statistic(
-        "left", _egadf_args, _egadf_report, "independent driftless Gaussian random walks",
+        "left", _egadf_args, _egadf_report, _egadf_block, _egadf_rows,
+        "independent driftless Gaussian random walks",
         _egadf_params, _egadf_chunk, (("m", "n_regressors"),),
-        _egadf_block, _egadf_rows,
     ),
 }
 _SIMULATED = tuple(name for name, s in _STATISTICS.items() if s.chunk is not None)
@@ -445,23 +459,21 @@ def _draw(spec, T: int, master: int, branch: int, index: int):
 def _rejections(entry: _Statistic, rows: list, level: float, cv_source, args) -> int:
     """How many of one branch's drawn replications the public test rejects at `level`.
 
-    The public report call runs on the first replication; with a block
-    evaluator the rest are decided on their block statistics against its
-    critical value, strictly as `report.decide` does.  Without one, or while
-    the report is None, the next replication goes through the public call too.
-    A path the public test refuses (a degenerate design) is caught only where
-    it comes first; the processes draw Gaussian noise, so a degenerate path
-    comes from a degenerate process, whose every path is.
+    The public report call runs on the first replication, and the rest are
+    decided on their block statistics against its critical value, strictly as
+    `report.decide` does; while the report is None (an EG-ADF exact relation)
+    the next replication goes through the public call too.  A path the public
+    test refuses (a degenerate design) is caught only where it comes first;
+    the processes draw Gaussian noise, so a degenerate path comes from a
+    degenerate process, whose every path is.
     """
     hits = 0
     for first, data in enumerate(rows):
         report = entry.report(data, cv_source, args)
         # no report means an exact relation: the strongest possible rejection
         hits += report is None or report.decision[level] == "reject"
-        if report is not None and entry.block is not None:
+        if report is not None:
             break
-    else:
-        return hits
     rest = rows[first + 1 :]
     if not rest:
         return hits
@@ -512,13 +524,13 @@ def size_power_suite(
     size is the null rejection rate, power the alternative one, at the
     requested level.  Each chunk draws its null replications, then its
     alternative ones, from the same per-replication seeds whatever the
-    schedule.  For chow and granger every replication runs the full public
-    test.  For the simulated statistics the first replication of each chunk
-    and branch does: that call checks the data, warns, and resolves the
-    critical value and tail through the test's own module, so the cache is
-    read once per chunk and branch.  The other replications are decided on
-    the registry's block evaluator, the code `mc_critical_values` runs, which
-    gives the public statistic of every row of a block at once.
+    schedule.  The first replication of each chunk and branch runs the full
+    public test: that call checks the data, warns, and resolves the critical
+    value and tail through the test's own module, so the cache is read once
+    per chunk and branch.  The other replications are decided on the
+    registry's block evaluator, which gives the public statistic of every
+    row of a block at once from the public test's own design builder; for
+    the simulated statistics it is the code `mc_critical_values` runs.
     """
     if not isinstance(reps, (int, np.integer)) or reps < 1:
         raise DomainError("reps must be a positive integer")

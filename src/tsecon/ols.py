@@ -25,7 +25,7 @@ from typing import Mapping, NamedTuple, Sequence, Union
 import numpy as np
 
 from .errors import CollinearityError, DomainError
-from .series import TimeSeries
+from .series import TimeSeries, require_series
 
 __all__ = [
     "Intercept",
@@ -253,10 +253,11 @@ def build_design(spec: DesignSpec, data: Mapping[str, TimeSeries]) -> Design:
 
 
 def common_length(data: Mapping[str, TimeSeries], names) -> int:
-    """The one length of the named series; an unknown name or a mismatch is an error."""
+    """The one length of the named TimeSeries; a missing name, other type or mismatch fails."""
     for name in names:
         if name not in data:
             raise DomainError(f"unknown series {name!r} in design")
+        require_series(f"series {name!r}", data[name])
     lengths = {name: len(data[name]) for name in names}
     if len(set(lengths.values())) > 1:
         raise DomainError(f"series lengths differ: {lengths}")
@@ -271,6 +272,10 @@ def lag_design(values: np.ndarray, names: Sequence[str], p: int) -> tuple:
     of X.
     """
     T, k = values.shape[-2:]
+    if T - p < k * p + 2:
+        raise DomainError(
+            f"effective sample of {max(T - p, 0)} rows cannot identify {k * p + 1} parameters"
+        )
     X = np.empty(values.shape[:-2] + (T - p, 1 + k * p))
     X[..., 0] = 1.0
     for i in range(1, p + 1):
@@ -324,8 +329,8 @@ class QrFit(NamedTuple):
     r (..., k, k) is upper triangular, so the coefficients are r^-1 c, the SSR
     is rho^2 and diag((X'X)^-1) holds the squared row norms of r^-1.  The
     responses of a multi-response fit are one more stack axis: r (..., 1, k, k)
-    is shared, c is (..., m, k) and rho (..., m), so :meth:`solve` and
-    :meth:`prefix_ssr` give one row per response.
+    is shared, c is (..., m, k) and rho (..., m), so :meth:`solve`,
+    :meth:`prefix_ssr` and :meth:`exclusion_f` give one row per response.
     """
 
     r: np.ndarray
@@ -347,6 +352,15 @@ class QrFit(NamedTuple):
         """
         squares = np.concatenate([self.c * self.c, (self.rho * self.rho)[..., None]], axis=-1)
         return np.cumsum(squares[..., ::-1], axis=-1)[..., ::-1]
+
+    def exclusion_f(self, q: int) -> np.ndarray:
+        """F statistic of the restriction that the last q coefficients are zero.
+
+        SSR_u = rho^2 and SSR_r - SSR_u = sum_{i >= k - q} c_i^2, which cannot cancel.
+        """
+        k = self.r.shape[-1]
+        delta = np.sum(self.c[..., k - q :] ** 2, axis=-1)
+        return (delta / q) / (self.rho**2 / (self.n_obs - k))
 
 
 def qr_lstsq(X: np.ndarray, y: np.ndarray) -> QrFit:
@@ -457,19 +471,11 @@ def fit_design(spec: DesignSpec, data: Mapping[str, TimeSeries]) -> tuple[OlsFit
 
 
 def exclusion_f_test(fit: OlsFit, q: int) -> FTest:
-    """F statistic for the restriction that the last q coefficients of a fit are zero.
-
-    The restricted model is the fit's first k - q columns, so both SSRs come
-    from the fit's one factorisation [[r, c], [0, rho]]: SSR_u = rho^2 and
-    SSR_r - SSR_u = sum_{i >= k - q} c_i^2, a sum of squares that cannot
-    cancel.
-    """
+    """F test that the last q coefficients of a fit are zero, by :meth:`QrFit.exclusion_f`."""
     if not 1 <= q < fit.n_params:
         raise DomainError("number of restrictions must lie between 1 and k - 1")
-    df_den = fit.n_obs - fit.n_params
-    delta = float(np.sum(fit.qr.c[fit.n_params - q :] ** 2))
-    f = (delta / q) / (fit.ssr / df_den)
-    return FTest(statistic=float(f), df_num=int(q), df_den=int(df_den))
+    f = fit.qr.exclusion_f(q)
+    return FTest(statistic=float(f), df_num=int(q), df_den=int(fit.n_obs - fit.n_params))
 
 
 def f_statistic(restricted: OlsFit, unrestricted: OlsFit, q: int | None = None) -> FTest:

@@ -67,9 +67,15 @@ class SampleMoments:
 
     def __post_init__(self) -> None:
         for name in ("autocovariances", "autocorrelations"):
-            arr = np.asarray(getattr(self, name), dtype=float)
+            arr = np.array(getattr(self, name), dtype=float)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+
+
+def require_series(caller: str, value) -> None:
+    """Refuse anything but a TimeSeries with a DomainError naming the caller."""
+    if not isinstance(value, TimeSeries):
+        raise DomainError(f"{caller} needs a TimeSeries, got {type(value).__name__}")
 
 
 def lag(series: TimeSeries, j: int) -> TimeSeries:
@@ -123,6 +129,7 @@ def sample_moments(
     A constant series has zero variance; its autocorrelations are reported
     as NaN rather than raising.
     """
+    require_series("sample_moments", series)
     T = len(series)
     if T < 2:
         raise DomainError("sample moments require at least two observations")

@@ -19,10 +19,10 @@ import numpy as np
 
 from .cvcache import default_cache
 from .errors import DomainError
-from .ols import DesignSpec, Diff, DiffLag, Intercept, Lag, Trend, build_design, qr_lstsq
-from .ols import solve_ols
+from .ols import qr_lstsq, solve_ols
+from .ols import build_design  # noqa: F401  rebound by perfbench/layers.py until ROADMAP item 2
 from .report import DEFAULT_LEVELS, TestReport, make_test_report
-from .series import TimeSeries
+from .series import TimeSeries, require_series
 
 __all__ = ["AdfSpec", "adf_test", "default_adf_pmax"]
 
@@ -67,31 +67,20 @@ class AdfSpec:
         return "auto" if self.lags == "auto" else str(int(self.lags))
 
 
-def _adf_design(values: np.ndarray, deterministic: str, lags: int):
-    name = "y"
-    terms = []
-    if deterministic in ("drift", "trend"):
-        terms.append(Intercept())
-    if deterministic == "trend":
-        terms.append(Trend())
-    terms.append(Lag(name, 1))
-    terms += [DiffLag(name, j) for j in range(1, lags + 1)]
-    spec = DesignSpec(Diff(name), terms)
-    return build_design(spec, {name: TimeSeries(values, label=name)})
-
-
 def _adf_block_design(paths: np.ndarray, deterministic: str, lags: int):
-    """The regression of `_adf_design` for every row of an (R, T) block of paths.
+    """The ADF regression of every row of an (R, T) block of paths.
 
-    Rows t = lags + 1 .. T - 1; returns X (R, rows, k) and y (R, rows).
+    Rows t = lags + 1 .. T - 1; returns X (R, rows, k), y (R, rows) and the column names.
     """
     R, T = paths.shape
     t0 = lags + 1
     rows = T - t0
-    if rows < _FIXED_COLUMNS[deterministic] + lags + 1:
-        raise DomainError(f"{lags} augmentation lags leave too few observations")
+    k = _FIXED_COLUMNS[deterministic] + lags
+    if rows < k + 1:
+        raise DomainError(f"effective sample of {max(rows, 0)} rows cannot identify {k} parameters")
     dy = paths[:, 1:] - paths[:, :-1]  # dy[:, t-1] = y_t - y_{t-1}
     cols = []
+    names = ["const", "trend"][: _FIXED_COLUMNS[deterministic] - 1]
     if deterministic in ("drift", "trend"):
         cols.append(np.ones((R, rows)))
     if deterministic == "trend":
@@ -99,7 +88,8 @@ def _adf_block_design(paths: np.ndarray, deterministic: str, lags: int):
     cols.append(paths[:, t0 - 1 : T - 1])
     for j in range(1, lags + 1):
         cols.append(dy[:, t0 - 1 - j : T - 1 - j])
-    return np.stack(cols, axis=2), dy[:, t0 - 1 :]
+    names += ["y.l1"] + [f"dy.l{j}" for j in range(1, lags + 1)]
+    return np.stack(cols, axis=2), dy[:, t0 - 1 :], tuple(names)
 
 
 def select_adf_lags(paths: np.ndarray, deterministic: str, p_max: int):
@@ -113,7 +103,7 @@ def select_adf_lags(paths: np.ndarray, deterministic: str, p_max: int):
     if deterministic not in _FIXED_COLUMNS:
         raise DomainError(f"deterministic must be one of {tuple(_FIXED_COLUMNS)}")
     paths = np.asarray(paths, dtype=float)
-    X, y = _adf_block_design(np.atleast_2d(paths), deterministic, p_max)
+    X, y, _ = _adf_block_design(np.atleast_2d(paths), deterministic, p_max)
     n = y.shape[1]
     k_fixed = _FIXED_COLUMNS[deterministic]
     ssr = qr_lstsq(X, y).prefix_ssr()[:, k_fixed:]  # column ell: the candidate with ell lags
@@ -132,7 +122,7 @@ def adf_block_statistic(paths: np.ndarray, deterministic: str, lags) -> np.ndarr
             mask = chosen == ell
             stats[mask] = adf_block_statistic(paths[mask], deterministic, int(ell))
         return stats
-    beta, stderrs = qr_lstsq(*_adf_block_design(paths, deterministic, int(lags))).solve()
+    beta, stderrs = qr_lstsq(*_adf_block_design(paths, deterministic, int(lags))[:2]).solve()
     i = _FIXED_COLUMNS[deterministic] - 1  # the y_{t-1} column
     return beta[:, i] / stderrs[:, i]
 
@@ -144,8 +134,8 @@ def adf_statistic(values: np.ndarray, deterministic: str, lags: int | str):
         lags_used = select_adf_lags(values, deterministic, p_max)
     else:
         lags_used = int(lags)
-    design = _adf_design(values, deterministic, lags_used)
-    fit = solve_ols(design.matrix, design.response, design.column_names)
+    X, y, names = _adf_block_design(values[None], deterministic, lags_used)
+    fit = solve_ols(X[0], y[0], names)
     return fit.t_stat("y.l1"), fit, lags_used
 
 
@@ -156,8 +146,7 @@ def adf_test(
     cv_source=None,
 ) -> TestReport:
     """Unit-root test; rejection favors stationarity around the deterministic part."""
-    if not isinstance(series, TimeSeries):
-        raise DomainError(f"adf_test needs a TimeSeries, got {type(series).__name__}")
+    require_series("adf_test", series)
     spec = spec or AdfSpec()
     T = len(series)
     fixed = 0 if spec.lags == "auto" else int(spec.lags)

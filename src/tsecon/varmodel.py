@@ -18,8 +18,7 @@ import numpy as np
 from .armodel import ForecastResult, iterate_linear_forecast
 from .dgp import companion_matrix
 from .errors import DomainError
-from .ols import DesignSpec, Intercept, Lag, Level, OlsFit, exclusion_f_test, fit_design
-from .ols import common_length, lag_design, solve_ols
+from .ols import OlsFit, common_length, exclusion_f_test, lag_design, solve_ols
 from .report import DEFAULT_LEVELS, TestReport, make_test_report
 from .series import TimeSeries
 
@@ -75,16 +74,16 @@ class VarFit:
     n_obs: int
 
     def __post_init__(self) -> None:
-        d = np.asarray(self.intercepts, dtype=float)
+        d = np.array(self.intercepts, dtype=float)
         d.flags.writeable = False
         object.__setattr__(self, "intercepts", d)
         mats = []
         for A in self.coeff_matrices:
-            A = np.asarray(A, dtype=float)
+            A = np.array(A, dtype=float)
             A.flags.writeable = False
             mats.append(A)
         object.__setattr__(self, "coeff_matrices", tuple(mats))
-        S = np.asarray(self.residual_cov, dtype=float)
+        S = np.array(self.residual_cov, dtype=float)
         S.flags.writeable = False
         object.__setattr__(self, "residual_cov", S)
 
@@ -105,10 +104,6 @@ def fit_var(data: Mapping[str, TimeSeries], p: int, names: Sequence[str] | None 
         raise DomainError("a VAR needs at least one variable")
     k = len(names)
     n_obs = common_length(data, names) - p
-    if n_obs < k * p + 2:
-        raise DomainError(
-            f"effective sample of {max(n_obs, 0)} rows cannot identify {k * p + 1} parameters"
-        )
     V = np.column_stack([data[nm].values for nm in names])
     X, columns = lag_design(V, names, p)
     fits = solve_ols(X, V[p:], columns)
@@ -228,6 +223,16 @@ def forecast_var(fit: VarFit, history: Mapping[str, TimeSeries], horizon: int) -
     }
 
 
+def granger_design(values: np.ndarray, p: int, names: Sequence[str]) -> tuple:
+    """X and column names of the Granger regression of values (..., T, 2) = [effect, cause].
+
+    `ols.lag_design`, reordered to [const, effect lags | the cause lags the test excludes].
+    """
+    X, columns = lag_design(values, names, p)
+    order = [0, *range(1, 2 * p, 2), *range(2, 2 * p + 1, 2)]
+    return X[..., order], tuple(columns[i] for i in order)
+
+
 def granger_test(
     data: Mapping[str, TimeSeries],
     cause: str,
@@ -249,10 +254,10 @@ def granger_test(
     for nm in (cause, effect):
         if nm not in data:
             raise DomainError(f"data is missing series {nm!r}")
-    pair = {effect: data[effect], cause: data[cause]}
-    own = [Intercept()] + [Lag(effect, j) for j in range(1, p + 1)]
-    cross = [Lag(cause, j) for j in range(1, p + 1)]
-    fit, _ = fit_design(DesignSpec(Level(effect), own + cross), pair)
+    common_length(data, (effect, cause))
+    V = np.column_stack([data[effect].values, data[cause].values])
+    X, names = granger_design(V, p, (effect, cause))
+    fit = solve_ols(X, V[p:, 0], names)
     ftest = exclusion_f_test(fit, q=p)
     return make_test_report(
         name="granger",

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import tsecon.breaks
 import tsecon.ols
+import tsecon.varmodel
 from tsecon import (
     ArProcess,
     DomainError,
@@ -223,7 +225,13 @@ def test_chow_and_granger_fit_one_design(monkeypatch):
         calls.append(args)
         return solve_ols(*args)
 
-    monkeypatch.setattr(tsecon.ols, "solve_ols", counting_solve_ols)
+    def no_build_design(*args):
+        raise AssertionError("build_design called")
+
+    # chow_test and granger_test look solve_ols up in their own modules
+    for module in (tsecon.breaks, tsecon.varmodel):
+        monkeypatch.setattr(module, "solve_ols", counting_solve_ols)
+    monkeypatch.setattr(tsecon.ols, "build_design", no_build_design)
     chow_test(simulate(ArProcess(seed=1), 200), 2, 100)
     assert len(calls) == 1
     calls.clear()

@@ -3,7 +3,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tsecon import DomainError, TimeSeries, difference, lag, sample_moments
+from tsecon import (
+    CointFit,
+    DolsFit,
+    DomainError,
+    ForecastResult,
+    SampleMoments,
+    TimeSeries,
+    VarFit,
+    adf_test,
+    chow_test,
+    difference,
+    dols,
+    eg_adf_test,
+    fit_ar,
+    fit_var,
+    forecast_ar,
+    granger_test,
+    lag,
+    pseudo_out_of_sample_rmsfe,
+    qlr_test,
+    sample_moments,
+    select_ar_order,
+    select_var_order,
+)
 
 
 def brute_autocov(y, j, full_sample_mean=False):
@@ -40,6 +63,63 @@ def test_timeseries_copies_input():
     s = TimeSeries(raw)
     raw[0] = 99.0
     assert s.values[0] == 1.0
+
+
+_ARRAY = np.cumsum(np.random.default_rng(5).standard_normal(120))
+_SERIES = TimeSeries(_ARRAY + 1.0, label="x")
+
+
+@pytest.mark.parametrize("caller, call", [
+    ("adf_test", lambda: adf_test(_ARRAY)),
+    ("qlr_test", lambda: qlr_test(_ARRAY, p=1)),
+    ("chow_test", lambda: chow_test(_ARRAY, p=1, tau=60)),
+    ("eg_adf_test", lambda: eg_adf_test(_ARRAY, [_SERIES])),
+    ("dols", lambda: dols(_ARRAY, [_SERIES], 1)),
+    ("fit_ar", lambda: fit_ar(_ARRAY, 1)),
+    ("forecast_ar", lambda: forecast_ar(fit_ar(_SERIES, 1), _ARRAY, 3)),
+    ("select_ar_order", lambda: select_ar_order(_ARRAY, 4)),
+    ("pseudo_out_of_sample_rmsfe", lambda: pseudo_out_of_sample_rmsfe(_ARRAY, 1, 0.5)),
+    ("sample_moments", lambda: sample_moments(_ARRAY, 3)),
+    ("series 'y'", lambda: fit_var({"y": _ARRAY, "x": _SERIES}, 1)),
+    ("series 'y'", lambda: select_var_order({"x": _SERIES, "y": _ARRAY}, 2)),
+    ("series 'y'", lambda: granger_test({"y": _ARRAY, "x": _SERIES}, cause="x", effect="y", p=1)),
+    ("series 'y'", lambda: granger_test({"x": _SERIES, "y": _ARRAY}, cause="y", effect="x",
+                                        p=1)),
+])
+def test_public_calls_refuse_anything_but_a_time_series(caller, call):
+    with pytest.raises(DomainError) as caught:
+        call()
+    assert type(caught.value) is DomainError
+    assert str(caught.value) == f"{caller} needs a TimeSeries, got ndarray"
+
+
+def _fit():
+    return fit_ar(_SERIES, 1).fit
+
+
+@pytest.mark.parametrize("make, field", [
+    (lambda a: VarFit(names=("y",), p=1, intercepts=a, coeff_matrices=(a[:, None],),
+                      residual_cov=a[:, None], equation_fits=(), n_obs=10), "intercepts"),
+    (lambda a: VarFit(names=("y",), p=1, intercepts=a, coeff_matrices=(a[:, None],),
+                      residual_cov=a[:, None], equation_fits=(), n_obs=10), "residual_cov"),
+    (lambda a: CointFit(theta=a, alpha=0.0, residual_series=_SERIES, eg_adf=None,
+                        n_regressors=1, names=("y", "x"), stage1=_fit()), "theta"),
+    (lambda a: DolsFit(theta=a, intercept=0.0, deltas={}, p=0, fit=_fit(), names=("y", "x")),
+     "theta"),
+    (lambda a: ForecastResult(point_forecasts=a, rmsfe_estimate=1.0, horizon=1), "point_forecasts"),
+    (lambda a: SampleMoments(mean=0.0, variance=1.0, autocovariances=a, autocorrelations=a,
+                             n_obs=10, max_lag=0), "autocovariances"),
+])
+def test_result_types_freeze_a_copy_of_the_callers_array(make, field):
+    a = np.array([0.5])
+    result = make(a)
+    assert a.flags.writeable  # the caller's array is left alone
+    a[0] = 9.0
+    frozen = getattr(result, field)
+    assert not frozen.flags.writeable
+    assert frozen.ravel()[0] == 0.5
+    with pytest.raises(ValueError):
+        frozen.ravel()[0] = 1.0
 
 
 def test_lag_aligns_by_date():

@@ -4,7 +4,8 @@
 and branch and decides the others on the registry's block evaluator against
 that report's critical value.  These tests hold the block decisions to the
 public ones row by row, the counts to a per-replication public loop, and the
-number of public calls to one per chunk and branch.
+number of public calls to one per chunk and branch, for every test of the
+registry.
 """
 
 from collections import Counter
@@ -13,17 +14,24 @@ import numpy as np
 import pytest
 
 import tsecon.montecarlo as montecarlo
+import tsecon.ols
+import tsecon.unitroot
 from tsecon import (
     AdfSpec,
     ArProcess,
     CointegratedPair,
+    CriticalValueCache,
     DomainError,
     InterceptBreakAr,
     RandomWalk,
     TimeSeries,
+    VarProcess,
     WhiteNoise,
     adf_test,
+    chow_test,
+    default_cache,
     eg_adf_test,
+    granger_test,
     qlr_test,
     simulate,
     size_power_suite,
@@ -47,6 +55,7 @@ def _assert_rows_decide_like_reports(test, args, rows, reports):
             assert decide(stat, cv, report.tail) == report.decision[lv]
             decisions[report.decision[lv]] += 1
     assert set(decisions) == {"reject", "fail_to_reject"}  # both outcomes exercised
+    return stats
 
 
 @pytest.mark.filterwarnings("ignore:ADF effective sample")
@@ -90,6 +99,33 @@ def test_qlr_block_decisions_equal_the_public_test(p):
     _assert_rows_decide_like_reports("qlr", args, rows, reports)
 
 
+@pytest.mark.parametrize("p", [1, 2])
+def test_chow_block_decisions_equal_the_public_test(p):
+    T, tau = 120, 60
+    rows = [simulate(ArProcess(beta0=1.0, betas=(0.5,), seed=s), T) for s in range(10)]
+    rows += [simulate(InterceptBreakAr(beta0_pre=1.0, beta0_post=1.8, betas=(0.5,), seed=s), T)
+             for s in range(10)]
+    args = _STATISTICS["chow"].args({"p": p, "tau": tau})
+    reports = [chow_test(row, p=p, tau=tau) for row in rows]
+    stats = _assert_rows_decide_like_reports("chow", args, rows, reports)
+    # one design builder and one F formula: the same bits
+    assert list(stats) == [report.statistic for report in reports]
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_granger_block_decisions_equal_the_public_test(p):
+    T = 100
+    independent = {"y1": ArProcess(betas=(0.5,)), "y2": ArProcess(betas=(0.5,))}
+    causal = VarProcess(delta=(0.0, 0.0), coeff_matrices=(((0.3, 0.3), (0.0, 0.5)),),
+                        innovation_cov=((1.0, 0.0), (0.0, 1.0)), names=("y1", "y2"))
+    rows = [_draw(independent, T, 7, 0, i) for i in range(10)]
+    rows += [_draw(causal, T, 7, 1, i) for i in range(10)]
+    args = _STATISTICS["granger"].args({"cause": "y2", "effect": "y1", "p": p})
+    reports = [granger_test(row, cause="y2", effect="y1", p=p) for row in rows]
+    stats = _assert_rows_decide_like_reports("granger", args, rows, reports)
+    assert list(stats) == [report.statistic for report in reports]
+
+
 def test_qlr_block_fails_like_the_public_test():
     good = simulate(WhiteNoise(seed=1), 100)
     for bad in (np.r_[np.zeros(50), np.ones(50)], np.tile([1.0, -1.0], 50), np.arange(100.0)):
@@ -115,6 +151,19 @@ _SUITES = {
     "egadf_m2": ("egadf", {"y": RandomWalk(), "x1": RandomWalk(), "x2": RandomWalk()},
                  {"y": ArProcess(betas=(0.5,)), "x1": RandomWalk(), "x2": RandomWalk()},
                  {"y": "y", "xs": ["x1", "x2"]}, 100),
+    "chow_p1": ("chow", ArProcess(beta0=1.0, betas=(0.5,)),
+                InterceptBreakAr(beta0_pre=1.0, beta0_post=1.8, betas=(0.5,)),
+                {"p": 1, "tau": 50}, 100),
+    "chow_p2": ("chow", ArProcess(beta0=1.0, betas=(0.5, 0.2)),
+                InterceptBreakAr(beta0_pre=1.0, beta0_post=1.6, betas=(0.5, 0.2)),
+                {"p": 2, "tau": 60}, 120),
+    "granger_p1": ("granger", {"y1": ArProcess(betas=(0.5,)), "y2": ArProcess(betas=(0.5,))},
+                   VarProcess(delta=(0.0, 0.0), coeff_matrices=(((0.3, 0.3), (0.0, 0.5)),),
+                              innovation_cov=((1.0, 0.0), (0.0, 1.0)), names=("y1", "y2")),
+                   {"cause": "y2", "effect": "y1", "p": 1}, 80),
+    "granger_p3": ("granger", {"y": ArProcess(betas=(0.3,)), "x": WhiteNoise()},
+                   {"y": RandomWalk(), "x": ArProcess(betas=(0.5,))},
+                   {"cause": "x", "effect": "y", "p": 3}, 100),
 }
 
 
@@ -128,6 +177,10 @@ def _public_counts(test, null_spec, alt_spec, params, T, reps, seed, level=0.05)
                 report = adf_test(data, AdfSpec(**params))
             elif test == "qlr":
                 report = qlr_test(data, **params)
+            elif test == "chow":
+                report = chow_test(data, **params)
+            elif test == "granger":
+                report = granger_test(data, **params)
             else:
                 report = eg_adf_test(data[params["y"]], [data[nm] for nm in params["xs"]]).eg_adf
             hits[branch] += report is None or report.decision[level] == "reject"
@@ -240,6 +293,10 @@ def _count_calls(monkeypatch, names):
     ("qlr", "qlr_test", WhiteNoise(), InterceptBreakAr(beta0_post=1.0, betas=(0.3,)), {"p": 1}),
     ("egadf", "eg_adf_test", {"y": RandomWalk(), "x": RandomWalk()}, CointegratedPair(),
      {"y": "y", "xs": ["x"]}),
+    ("chow", "chow_test", ArProcess(betas=(0.4,)),
+     InterceptBreakAr(beta0_post=2.0, betas=(0.4,)), {"p": 1, "tau": 50}),
+    ("granger", "granger_test", {"x": WhiteNoise(), "y": ArProcess(betas=(0.3,))},
+     {"x": RandomWalk(), "y": RandomWalk()}, {"cause": "x", "effect": "y", "p": 2}),
 ])
 def test_public_test_runs_once_per_chunk_and_branch(monkeypatch, test, public, null_spec,
                                                     alt_spec, params):
@@ -260,17 +317,53 @@ def test_public_test_runs_once_per_chunk_and_branch(monkeypatch, test, public, n
     assert calls == {public: 4, "simulate": len(keys)}
 
 
-def test_chow_runs_the_public_test_on_every_replication(monkeypatch):
-    kwargs = dict(test="chow", null_spec=ArProcess(betas=(0.4,)),
-                  alt_spec=InterceptBreakAr(beta0_post=2.0, betas=(0.4,)),
-                  reps=20, T=100, seed=33, params={"p": 1, "tau": 50}, chunk_size=7)
-    expected = size_power_suite(**kwargs)
-    calls, _ = _count_calls(monkeypatch, ("chow_test", "simulate"))
-    assert size_power_suite(**kwargs) == expected
-    assert calls == {"chow_test": 40, "simulate": 40}
-
-
 def test_registry_blocks_serve_mc_and_size_power():
+    assert list(_STATISTICS) == ["adf", "qlr", "chow", "granger", "egadf"]
+    assert all(callable(s.block) and callable(s.rows) for s in _STATISTICS.values())
     simulated = [name for name, s in _STATISTICS.items() if s.chunk is not None]
-    assert simulated == [name for name, s in _STATISTICS.items() if s.block is not None]
-    assert all(_STATISTICS[name].rows is not None for name in simulated)
+    assert simulated == ["adf", "qlr", "egadf"]
+
+
+@pytest.mark.parametrize("call", [
+    lambda: adf_test(simulate(RandomWalk(seed=1), 100)),
+    lambda: adf_test(simulate(RandomWalk(seed=1), 100), AdfSpec(lags=0, deterministic="trend")),
+    lambda: chow_test(simulate(ArProcess(betas=(0.5,), seed=2), 100), p=2, tau=50),
+    lambda: granger_test({"x": simulate(WhiteNoise(seed=3), 100),
+                          "y": simulate(WhiteNoise(seed=4), 100)}, cause="x", effect="y", p=2),
+])
+def test_public_tests_build_no_declared_design(monkeypatch, call):
+    # each public test fits the design builder of its block evaluator, not a DesignSpec
+    def refuse(*args, **kwargs):
+        raise AssertionError("a DesignSpec design was built")
+
+    for module in (tsecon.ols, tsecon.unitroot):
+        monkeypatch.setattr(module, "build_design", refuse)
+    monkeypatch.setattr(tsecon.ols, "fit_design", refuse)
+    call()
+
+
+# (null, alternative) counts of the benchmark's size/power specs at T = 100 with
+# 25 replications, recorded when every replication still ran the public test
+_BENCHMARK_SP_COUNTS = {
+    "adf": [(2, 8), (1, 7), (2, 7), (1, 6), (1, 10)],
+    "egadf": [(2, 17), (1, 22), (2, 18), (1, 16), (1, 20)],
+}
+
+
+def test_benchmark_size_power_counts_are_pinned(tmp_path):
+    walk = RandomWalk()
+    adf = ("adf", walk, ArProcess(betas=(0.9,)), {"deterministic": "drift", "lags": "auto"})
+    egadf = ("egadf", {"y": walk, "x": walk}, CointegratedPair(theta=1.0, noise_ar=0.8),
+             {"y": "y", "xs": ["x"]})
+    packaged = default_cache()
+    cv_file = str(tmp_path / "cv.json")
+    CriticalValueCache(packaged.entries.values(), generator=packaged.generator).save(cv_file)
+    for (test, null_spec, alt_spec, params), cv_source in ((adf, None), (egadf, None),
+                                                           (adf, cv_file)):
+        counts = [
+            size_power_suite(test, null_spec, alt_spec, 25, T=100, seed=seed,
+                             cv_source=cv_source, params=params)
+            for seed in range(1, 6)
+        ]
+        assert [(c.null_rejections, c.alt_rejections) for c in counts] == \
+            _BENCHMARK_SP_COUNTS[test], (test, cv_source)

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from tsecon import AdfSpec, ArProcess, DomainError, RandomWalk, TimeSeries, adf_test, simulate
-from tsecon.ols import solve_ols
+from tsecon.ols import DesignSpec, Diff, DiffLag, Intercept, Lag, Trend, build_design, solve_ols
 from tsecon.unitroot import (
-    _adf_design,
     adf_statistic,
     default_adf_pmax,
     resolve_adf_pmax,
@@ -109,6 +108,14 @@ def test_short_sample_warns():
         adf_test(series, AdfSpec(lags=0))
 
 
+def _adf_design(values, deterministic, lags):
+    """The ADF regression declared term by term, independently of the library's builder."""
+    terms = [Intercept()] if deterministic in ("drift", "trend") else []
+    terms += [Trend()] if deterministic == "trend" else []
+    terms += [Lag("y", 1)] + [DiffLag("y", j) for j in range(1, lags + 1)]
+    return build_design(DesignSpec(Diff("y"), terms), {"y": TimeSeries(values, label="y")})
+
+
 def _refit_lag_choice(values, deterministic, p_max):
     """BIC lag choice by refitting each candidate on the common sample."""
     k_fixed = {"drift": 2, "trend": 3, "none": 1}[deterministic]
@@ -119,6 +126,18 @@ def _refit_lag_choice(values, deterministic, p_max):
         ssr = solve_ols(design.matrix[p_max - ell :], design.response[p_max - ell :]).ssr
         bic.append(np.log(ssr / n) + (k_fixed + ell) * np.log(n) / n)
     return int(np.argmin(bic))
+
+
+@pytest.mark.parametrize("deterministic", ["drift", "trend"])
+@pytest.mark.parametrize("lags", [0, 2])
+def test_adf_statistic_fits_the_declared_design(deterministic, lags):
+    values = simulate(ArProcess(betas=(0.7,), seed=3), 120).values
+    _, fit, _ = adf_statistic(values, deterministic, lags)
+    design = _adf_design(values, deterministic, lags)
+    ref = solve_ols(design.matrix, design.response, design.column_names)
+    assert fit.column_names == ref.column_names
+    assert np.array_equal(fit.coefficients, ref.coefficients)
+    assert np.array_equal(fit.stderrs, ref.stderrs)
 
 
 def test_select_adf_lags_matches_refitting_each_candidate():
