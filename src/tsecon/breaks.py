@@ -88,7 +88,8 @@ def chow_f_scan(paths: np.ndarray, p: int, taus: np.ndarray) -> np.ndarray:
     paths has shape (R, T).  The unrestricted SSR at a split equals the sum
     of the two single-regime SSRs (the dummy block makes the regimes
     independent), so each candidate needs only prefix and suffix
-    cross-product matrices, accumulated once.
+    cross-product matrices, accumulated once.  A singular regime design or a
+    non-finite F anywhere in the block raises :class:`DomainError`.
     """
     Y = np.atleast_2d(np.asarray(paths, dtype=float))
     n = Y.shape[1] - p
@@ -106,13 +107,18 @@ def chow_f_scan(paths: np.ndarray, p: int, taus: np.ndarray) -> np.ndarray:
     Gt, ht, st = P[:, -1], q[:, -1], s[:, -1]
     G2, h2, s2 = Gt[:, None] - G1, ht[:, None] - h1, st[:, None] - s1
 
-    ssr_full = ssr(Gt, ht, st)[:, None]
-    ssr_split = ssr(G1, h1, s1) + ssr(G2, h2, s2)
+    try:
+        ssr_full = ssr(Gt, ht, st)[:, None]
+        ssr_split = ssr(G1, h1, s1) + ssr(G2, h2, s2)
+    except np.linalg.LinAlgError:
+        raise DomainError("collinear regressors inside the break scan") from None
     df_den = n - 2 * k
     if df_den < 1:
         raise DomainError("no residual degrees of freedom in the split regressions")
     with np.errstate(divide="ignore", invalid="ignore"):
         F = (np.maximum(ssr_full - ssr_split, 0.0) / k) / (ssr_split / df_den)
+    if not np.all(np.isfinite(F)):
+        raise DomainError("degenerate residual variance inside the break scan")
     return F
 
 
@@ -129,12 +135,7 @@ def qlr_test(
         raise DomainError("autoregressive order must be a positive integer")
     T = len(series)
     taus = qlr_window(T, p, trim)
-    try:
-        F = chow_f_scan(series.values[None, :], p, taus)[0]
-    except np.linalg.LinAlgError:
-        raise DomainError("collinear regressors inside the break scan") from None
-    if not np.all(np.isfinite(F)):
-        raise DomainError("degenerate residual variance inside the break scan")
+    F = chow_f_scan(series.values[None, :], p, taus)[0]
     best = int(np.argmax(F))
     stat = float(F[best])
     tau_star = int(taus[best])

@@ -669,7 +669,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = _subcommand(sub, "coint", _cmd_coint,
                      "Engle-Granger two-step cointegration test", col=False)
     sp.add_argument("--y", required=True, help="dependent column")
-    sp.add_argument("--x", required=True, help="comma-separated regressor columns (1-4)")
+    sp.add_argument("--x", required=True, help="comma-separated regressor columns")
     sp.add_argument("--cv-file", default=None)
 
     sp = _subcommand(sub, "dols", _cmd_dols,

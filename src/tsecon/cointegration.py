@@ -4,7 +4,7 @@ The Engle-Granger ADF test regresses Y on an intercept and the candidate
 common-trend regressors, then runs a unit-root regression on the residuals.
 Its critical values are far in the left tail of the ordinary Dickey-Fuller
 ones and depend on the regressor count; the shipped table covers 1 through 4
-regressors at the 10%, 5% and 1% levels.
+regressors at the 10%, 5% and 1% levels, and `mc-critical` simulates others.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 from .cvcache import default_cache
 from .errors import DomainError
-from .ols import DesignSpec, DiffLag, Intercept, Lag, Level, OlsFit, fit_design, qr_lstsq
+from .ols import DesignSpec, DiffLag, Intercept, Lag, Level, OlsFit, exact_fit, fit_design, qr_lstsq
 from .report import DEFAULT_LEVELS, TestReport, make_test_report
 from .series import TimeSeries, difference, require_series
 from .unitroot import AdfSpec, adf_block_statistic, adf_statistic, adf_test
@@ -63,16 +63,6 @@ def _named_regressors(y: TimeSeries, xs) -> tuple[str, tuple, dict]:
     return yname, tuple(xnames), data
 
 
-def _exact_relation(ssr, n_obs: int, y: np.ndarray):
-    """Whether a levels regression fits exactly: sqrt(SSR/n) <= 1e-10 max(1, max|y|).
-
-    `ssr` is one SSR with `y` its (T,) regressand, or an (R,) stack of them
-    with y (R, T).
-    """
-    scale = np.maximum(1.0, np.max(np.abs(y), axis=-1))
-    return np.sqrt(ssr / n_obs) <= 1e-10 * scale
-
-
 def eg_adf_block_statistic(paths: np.ndarray) -> np.ndarray:
     """The EG-ADF t-ratios of `eg_adf_test` for every row of an (R, T, 1 + m) block.
 
@@ -86,7 +76,7 @@ def eg_adf_block_statistic(paths: np.ndarray) -> np.ndarray:
     stage1 = qr_lstsq(X, y)
     beta = stage1.solve()[0]
     residuals = y - (X @ beta[..., None])[..., 0]
-    live = ~_exact_relation(stage1.rho**2, T, y)
+    live = ~exact_fit(stage1.rho**2, T, y)
     stats = np.full(R, -np.inf)
     if live.any():
         stats[live] = adf_block_statistic(residuals[live], "none", "auto")
@@ -134,17 +124,13 @@ def eg_adf_test(
     require_series("eg_adf_test", y)
     yname, xnames, data = _named_regressors(y, xs)
     m = len(xnames)
-    if not 1 <= m <= 4:
-        raise DomainError(
-            f"critical values cover 1 to 4 regressors, got {m}"
-        )
     terms = [Intercept()] + [Level(nm) for nm in xnames]
     stage1, design = fit_design(DesignSpec(Level(yname), terms), data)
     theta = np.array([stage1.coefficient(nm) for nm in xnames])
     alpha = float(stage1.coefficient("const"))
     z = TimeSeries(stage1.residuals, label="z", origin=y.origin + int(design.times[0]))
 
-    if _exact_relation(stage1.ssr, stage1.n_obs, y.values):
+    if exact_fit(stage1.ssr, stage1.n_obs, y.values):
         return CointFit(
             theta=theta,
             alpha=alpha,

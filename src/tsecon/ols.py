@@ -10,11 +10,15 @@ builds the AR and VAR lag regression, whose lower orders are its prefixes.
 Least squares goes through one kernel, :func:`qr_lstsq`: one QR
 factorisation of [X | Y] over a stack of designs, each with one response or
 several, which also gives the F test of nested restrictions
-(:func:`exclusion_f_test`).  The one normal-equations path is
-:func:`ar_prefix_cross_products`, for AR(p) fits on every row prefix of a
-path: the break-date scan `breaks.chow_f_scan` and the rolling-origin
-forecasts of `armodel.pseudo_out_of_sample_rmsfe`.  An extended precision
-normal-equations oracle lives in the test suite for cross checking.
+(:func:`exclusion_f_test`).  Coefficients and standard errors have one
+formula, :meth:`QrFit.solve`: :func:`solve_ols` reads it for one design and
+the Monte Carlo block evaluators for a stack, so a public test's statistic
+is bit for bit the one-row case of its block.  The one normal-equations
+path is :func:`ar_prefix_cross_products`, for AR(p) fits on every row
+prefix of a path: the break-date scan `breaks.chow_f_scan` and the
+rolling-origin forecasts of `armodel.pseudo_out_of_sample_rmsfe`.  An
+extended precision normal-equations oracle lives in the test suite for
+cross checking.
 """
 
 from __future__ import annotations
@@ -339,7 +343,7 @@ class QrFit(NamedTuple):
     n_obs: int
 
     def solve(self) -> tuple[np.ndarray, np.ndarray]:
-        """Coefficients and homoskedastic standard errors, from one inverse of r."""
+        """The one solution formula: coefficients and standard errors from one inverse of r."""
         r_inv = np.linalg.inv(self.r)
         ser = np.abs(self.rho) / np.sqrt(self.n_obs - self.r.shape[-1])
         beta = (r_inv @ self.c[..., None])[..., 0]
@@ -389,9 +393,11 @@ def qr_lstsq(X: np.ndarray, y: np.ndarray) -> QrFit:
 def solve_ols(X: np.ndarray, y: np.ndarray, column_names: Sequence[str] | None = None):
     """Solve min ||y - X b|| by QR factorisation (:func:`qr_lstsq`).
 
-    A response y of shape (n,) gives one :class:`OlsFit`.  Y of shape (n, m)
-    gives a tuple of m fits, one per column, from one factorisation with one
-    rank check; fit j carries QrFit(r, C[:, j], rho_j, n).
+    The coefficients and standard errors are :meth:`QrFit.solve`'s, so they
+    equal those of a stack of designs bit for bit.  A response y of shape (n,)
+    gives one :class:`OlsFit`.  Y of shape (n, m) gives a tuple of m fits, one
+    per column, from one factorisation with one rank check; fit j carries
+    QrFit(r, C[:, j], rho_j, n).
     Raises :class:`CollinearityError` naming the offending columns when X is
     rank deficient (singular values of the triangular factor below
     max(m, n) * eps * sigma_max).
@@ -412,10 +418,7 @@ def solve_ols(X: np.ndarray, y: np.ndarray, column_names: Sequence[str] | None =
 
     qr = qr_lstsq(X, y)
     r = qr.r.reshape(k, k)
-    # X and r share singular values.  The rank test needs them, and since
-    # r^-1 = V diag(1/s) U' they also give the solution: a further LAPACK
-    # call (QrFit.solve) would make small one-series fits ~15% slower.
-    U, s, Vt = np.linalg.svd(r)
+    s = np.linalg.svd(r, compute_uv=False)  # X and r share singular values
     tol = max(m, k) * np.finfo(float).eps * s[0]
     if s[-1] <= tol:  # s is sorted in decreasing order
         rank = int(np.sum(s > tol))
@@ -428,17 +431,14 @@ def solve_ols(X: np.ndarray, y: np.ndarray, column_names: Sequence[str] | None =
         raise CollinearityError(offenders)
 
     # one row per response
-    beta = ((qr.c @ U) / s) @ Vt
+    beta, stderrs = qr.solve()
     fitted = (X @ beta.T).T
     resid = y.T - fitted
-    # diag of (X'X)^-1 = (r'r)^-1 from the SVD: sum_j V[i,j]^2 / s_j^2
-    scale = np.sqrt(np.einsum("ji,j->i", Vt**2, 1.0 / s**2))
     r.flags.writeable = False
 
-    def one_fit(beta, fitted, resid, c, rho) -> OlsFit:
+    def one_fit(beta, stderrs, fitted, resid, c, rho) -> OlsFit:
         ssr = float(rho**2)
         ser = float(np.sqrt(ssr / (m - k)))
-        stderrs = ser * scale
         # every standard error is positive at full rank, unless the fit is exact
         t_stats = beta / stderrs if ser > 0.0 else np.full(k, np.nan)
 
@@ -459,8 +459,8 @@ def solve_ols(X: np.ndarray, y: np.ndarray, column_names: Sequence[str] | None =
         )
 
     if y.ndim == 1:
-        return one_fit(beta, fitted, resid, qr.c, qr.rho)
-    return tuple(map(one_fit, beta, fitted, resid, qr.c, qr.rho))
+        return one_fit(beta, stderrs, fitted, resid, qr.c, qr.rho)
+    return tuple(map(one_fit, beta, stderrs, fitted, resid, qr.c, qr.rho))
 
 
 def fit_design(spec: DesignSpec, data: Mapping[str, TimeSeries]) -> tuple[OlsFit, Design]:
@@ -470,10 +470,25 @@ def fit_design(spec: DesignSpec, data: Mapping[str, TimeSeries]) -> tuple[OlsFit
     return fit, design
 
 
+def exact_fit(ssr, n_obs: int, y: np.ndarray):
+    """Whether a regression fits exactly: sqrt(SSR/n) <= 1e-10 max(1, max|y|).
+
+    `ssr` is one SSR with `y` its (n,) regressand, or an (R,) stack of them
+    with y (R, n).
+    """
+    scale = np.maximum(1.0, np.max(np.abs(y), axis=-1))
+    return np.sqrt(ssr / n_obs) <= 1e-10 * scale
+
+
 def exclusion_f_test(fit: OlsFit, q: int) -> FTest:
-    """F test that the last q coefficients of a fit are zero, by :meth:`QrFit.exclusion_f`."""
+    """F test that the last q coefficients of a fit are zero, by :meth:`QrFit.exclusion_f`.
+
+    An exact fit leaves no residual variance to scale the F by, so it is refused.
+    """
     if not 1 <= q < fit.n_params:
         raise DomainError("number of restrictions must lie between 1 and k - 1")
+    if exact_fit(fit.ssr, fit.n_obs, fit.fitted + fit.residuals):
+        raise DomainError("the unrestricted regression fits exactly; the F test is undefined")
     f = fit.qr.exclusion_f(q)
     return FTest(statistic=float(f), df_num=int(q), df_den=int(fit.n_obs - fit.n_params))
 

@@ -105,6 +105,9 @@ def test_chow_guards():
         chow_test(series, p=1, tau=1)  # first regime too small
     with pytest.raises(DomainError):
         chow_test(series, p=1, tau=98)  # second regime too small
+    # y_t = 2 y_{t-1} exactly: no residual variance to scale the F by
+    with pytest.raises(DomainError, match="^the unrestricted regression fits exactly"):
+        chow_test(TimeSeries(2.0 ** np.arange(40)), p=1, tau=3)
     for wrong, kind in ((series.values, "ndarray"), ({"y": series}, "dict")):
         with pytest.raises(DomainError, match=f"^chow_test needs a TimeSeries, got {kind}$"):
             chow_test(wrong, p=1, tau=50)
@@ -171,6 +174,12 @@ def test_qlr_guards():
         qlr_test(series, p=0)
     with pytest.raises(DomainError):
         qlr_test(TimeSeries(np.full(100, 2.0)), p=1)  # constant: collinear scan
+    # the scan itself refuses a block with one bad row
+    good, taus = simulate(WhiteNoise(seed=1), 100).values, qlr_window(100, 1, 0.15)
+    with pytest.raises(DomainError, match="^collinear regressors inside the break scan$"):
+        chow_f_scan(np.vstack([good, np.full(100, 2.0)]), 1, taus)
+    with pytest.raises(DomainError, match="^degenerate residual variance inside the break scan$"):
+        chow_f_scan(np.vstack([good, np.arange(100.0)]), 1, taus)
     for wrong, kind in ((series.values, "ndarray"), ({"y": series}, "dict")):
         with pytest.raises(DomainError, match=f"^qlr_test needs a TimeSeries, got {kind}$"):
             qlr_test(wrong, p=1)

@@ -5,6 +5,7 @@ from tsecon import (
     EG_ADF_CRITICAL_VALUES,
     ArProcess,
     CointegratedPair,
+    CriticalValueCache,
     DomainError,
     RandomWalk,
     TimeSeries,
@@ -12,6 +13,7 @@ from tsecon import (
     dols,
     eg_adf_test,
     integration_order,
+    mc_critical_values,
     rng_for,
     sample_values,
     simulate,
@@ -75,6 +77,20 @@ def test_eg_adf_guards():
         eg_adf_test(y, xs5)
     with pytest.raises(DomainError):
         eg_adf_test(y, [TimeSeries(x.values, label="y")])  # duplicate label
+
+
+def test_eg_adf_reads_a_five_regressor_entry_from_a_cv_file(tmp_path):
+    # the packaged cache stops at 4 regressors; mc-critical supplies the rest
+    run = mc_critical_values("egadf", {"n_regressors": 5}, T_sim=50, reps=1_000, seed=5)
+    path = str(tmp_path / "cv.json")
+    CriticalValueCache(entries=[run.to_entry()]).save(path)
+    rng = rng_for(55)
+    y, *xs = [TimeSeries(sample_values(RandomWalk(), 200, rng), label=nm)
+              for nm in ("y", "x1", "x2", "x3", "x4", "x5")]
+    rep = eg_adf_test(y, xs, cv_source=path).eg_adf
+    assert rep.family["n_regressors"] == 5
+    assert rep.critical_values == run.quantiles
+    assert rep.cv_provenance["kind"] == "monte_carlo"
 
 
 def test_integration_order_ladder():

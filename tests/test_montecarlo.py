@@ -93,10 +93,10 @@ def test_batched_adf_agrees_with_public_statistic():
     for det, lags in (("drift", 0), ("drift", 2), ("trend", 1), ("none", 0)):
         batched = adf_block_statistic(paths, det, lags)
         direct = np.array([adf_statistic(p, det, lags)[0] for p in paths])
-        assert np.max(np.abs(batched - direct)) < 1e-10
+        assert np.array_equal(batched, direct)
     auto = adf_block_statistic(paths, "drift", "auto")
     direct_auto = np.array([adf_statistic(p, "drift", "auto")[0] for p in paths])
-    assert np.max(np.abs(auto - direct_auto)) < 1e-10
+    assert np.array_equal(auto, direct_auto)
 
 
 def test_batched_qlr_agrees_with_public_statistic():
@@ -109,7 +109,7 @@ def test_batched_qlr_agrees_with_public_statistic():
     ])
     for r in range(0, 25, 6):
         rep = qlr_test(TimeSeries(paths[r]), p=1, cv_source=cache)
-        assert rep.statistic == pytest.approx(scan_max[r], rel=1e-10)
+        assert rep.statistic == scan_max[r]
 
 
 def test_summary_sums_are_exactly_rounded(monkeypatch):

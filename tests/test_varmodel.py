@@ -239,6 +239,10 @@ def test_granger_guards():
         granger_test(data, cause="zz", effect="y1", p=1)
     with pytest.raises(DomainError):
         granger_test(data, cause="y2", effect="y1", p=0)
+    # the effect's own lag fits it exactly: no residual variance to scale the F by
+    exact = {"e": TimeSeries(2.0 ** np.arange(40)), "c": TimeSeries(data["y2"].values[:40])}
+    with pytest.raises(DomainError, match="^the unrestricted regression fits exactly"):
+        granger_test(exact, cause="c", effect="e", p=1)
 
 
 def two_fit_granger_f(data, cause, effect, p):
