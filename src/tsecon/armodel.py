@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .ols import DesignSpec, Intercept, Lag, Level, OlsFit, ar_prefix_cross_products, fit_design
+from .ols import OlsFit, ar_prefix_cross_products, lag_design, solve_ols
 from .series import TimeSeries, require_series
 
 __all__ = [
@@ -125,9 +125,8 @@ def fit_ar(series: TimeSeries, p: int) -> ArFit:
         raise DomainError(
             f"fitting AR({p}) needs more than {2 * (p + 1)} observations, got {T}"
         )
-    name = series.label or "y"
-    spec = DesignSpec(Level(name), [Intercept()] + [Lag(name, j) for j in range(1, p + 1)])
-    fit, _ = fit_design(spec, {name: series})
+    X, names = lag_design(series.values[:, None], (series.label or "y",), p)
+    fit = solve_ols(X, series.values[p:], names)
     return ArFit(
         intercept=float(fit.coefficients[0]),
         lag_poly=LagPolynomial(fit.coefficients[1:]),

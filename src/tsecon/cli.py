@@ -274,11 +274,13 @@ def _cmd_describe(args, ds):
         "max_lag": int(moments.max_lag),
         "full_sample_mean": bool(moments.full_sample_mean),
         "autocovariances": [float(v) for v in moments.autocovariances],
-        "autocorrelations": [float(v) for v in moments.autocorrelations],
+        # a constant series has NaN autocorrelations, and JSON has no NaN
+        "autocorrelations": [float(v) if math.isfinite(v) else None
+                             for v in moments.autocorrelations],
     }
     if args.emit_csv:
         rows = [
-            (j, result["autocovariances"][j], result["autocorrelations"][j])
+            (j, result["autocovariances"][j], float(moments.autocorrelations[j]))
             for j in range(max_lag + 1)
         ]
         _write_csv(args.emit_csv, ["lag", "autocovariance", "autocorrelation"], rows)

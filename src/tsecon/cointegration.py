@@ -16,7 +16,8 @@ import numpy as np
 
 from .cvcache import default_cache
 from .errors import DomainError
-from .ols import DesignSpec, DiffLag, Intercept, Lag, Level, OlsFit, exact_fit, fit_design, qr_lstsq
+from .ols import (DesignSpec, DiffLag, Intercept, Lag, Level, OlsFit, common_length, exact_fit,
+                  fit_design, qr_lstsq, solve_ols)
 from .report import DEFAULT_LEVELS, TestReport, make_test_report
 from .series import TimeSeries, difference, require_series
 from .unitroot import AdfSpec, adf_block_statistic, adf_statistic, adf_test
@@ -63,16 +64,20 @@ def _named_regressors(y: TimeSeries, xs) -> tuple[str, tuple, dict]:
     return yname, tuple(xnames), data
 
 
+def eg_adf_design(paths: np.ndarray) -> tuple:
+    """The levels regression X = [const | x_1..x_m], y of (..., T, 1 + m) paths [y | x_1..x_m]."""
+    ones = np.ones(paths.shape[:-1] + (1,))
+    return np.concatenate([ones, paths[..., 1:]], axis=-1), paths[..., 0]
+
+
 def eg_adf_block_statistic(paths: np.ndarray) -> np.ndarray:
     """The EG-ADF t-ratios of `eg_adf_test` for every row of an (R, T, 1 + m) block.
 
-    Column 0 of each path is the regressand, columns 1..m the regressors.  A
-    row whose levels regression fits exactly, where `eg_adf_test` runs no
-    ADF, gets -inf: the strongest possible rejection.
+    A row whose levels regression (:func:`eg_adf_design`) fits exactly, where
+    `eg_adf_test` runs no ADF, gets -inf: the strongest possible rejection.
     """
     R, T, _ = paths.shape
-    y = paths[:, :, 0]
-    X = np.concatenate([np.ones((R, T, 1)), paths[:, :, 1:]], axis=2)
+    X, y = eg_adf_design(paths)
     stage1 = qr_lstsq(X, y)
     beta = stage1.solve()[0]
     residuals = y - (X @ beta[..., None])[..., 0]
@@ -124,11 +129,12 @@ def eg_adf_test(
     require_series("eg_adf_test", y)
     yname, xnames, data = _named_regressors(y, xs)
     m = len(xnames)
-    terms = [Intercept()] + [Level(nm) for nm in xnames]
-    stage1, design = fit_design(DesignSpec(Level(yname), terms), data)
-    theta = np.array([stage1.coefficient(nm) for nm in xnames])
-    alpha = float(stage1.coefficient("const"))
-    z = TimeSeries(stage1.residuals, label="z", origin=y.origin + int(design.times[0]))
+    common_length(data, data)
+    X, yv = eg_adf_design(np.column_stack([series.values for series in data.values()]))
+    stage1 = solve_ols(X, yv, ("const", *xnames))
+    theta = stage1.coefficients[1:]
+    alpha = float(stage1.coefficients[0])
+    z = TimeSeries(stage1.residuals, label="z", origin=y.origin)
 
     if exact_fit(stage1.ssr, stage1.n_obs, y.values):
         return CointFit(
@@ -277,14 +283,14 @@ def dols(
                 else:
                     window.append(DiffLag(nm, j))
     fit, _ = fit_design(DesignSpec(Level(yname), terms + window), data)
-    theta = np.array([fit.coefficient(nm) for nm in xnames])
-    deltas: dict = {nm: {} for nm in xnames}
     offset = 1 + len(xnames)  # window coefficients follow [const, levels...]
+    theta = fit.coefficients[1:offset]
+    deltas: dict = {nm: {} for nm in xnames}
     for term, coef in zip(window, fit.coefficients[offset:]):
         deltas[term.name][int(term.j)] = float(coef)
     return DolsFit(
         theta=theta,
-        intercept=float(fit.coefficient("const")),
+        intercept=float(fit.coefficients[0]),
         deltas=deltas,
         p=int(p),
         fit=fit,

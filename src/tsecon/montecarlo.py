@@ -15,10 +15,9 @@ A block evaluator runs a public test's own statistic, from the test's own
 design builder, on a block of replications: `adf_block_statistic`,
 `eg_adf_block_statistic`, `chow_f_scan` (QLR), and `qr_lstsq` of
 `chow_design` or `granger_design`.  `mc-critical` chunks evaluate their null
-paths with it, and so do size/power studies, which run the full public test
-on the first replication of each chunk and branch only: that call validates
-the data, warns, resolves the critical values and gives the tail, and the
-other replications are decided against its critical value.
+paths with it, and size/power studies decide every replication on it: the
+public test runs once per chunk and branch, to validate the data, warn and
+supply the critical value.
 """
 
 from __future__ import annotations
@@ -452,28 +451,24 @@ def _draw(spec, T: int, master: int, branch: int, index: int):
 def _rejections(entry: _Statistic, rows: list, level: float, cv_source, args) -> int:
     """How many of one branch's drawn replications the public test rejects at `level`.
 
-    The public report call runs on the first replication, and the rest are
-    decided on their block statistics against its critical value, strictly as
-    `report.decide` does; while the report is None (an EG-ADF exact relation)
-    the next replication goes through the public call too.  A path the public
-    test refuses (a degenerate design) is caught only where it comes first;
-    the processes draw Gaussian noise, so a degenerate path comes from a
-    degenerate process, whose every path is.
+    The public report call runs on the first replication, and on the next
+    while it returns None (an EG-ADF exact relation): it validates the data,
+    warns and supplies the critical value.  Every replication is decided on
+    its block statistic against that value, strictly as `report.decide` does.
+    A path the public test refuses (a degenerate design) is caught only where
+    it comes first; the processes draw Gaussian noise, so a degenerate path
+    comes from a degenerate process, whose every path is.
     """
-    hits = 0
-    for first, data in enumerate(rows):
+    for data in rows:
         report = entry.report(data, cv_source, args)
-        # no report means an exact relation: the strongest possible rejection
-        hits += report is None or report.decision[level] == "reject"
         if report is not None:
             break
-    rest = rows[first + 1 :]
-    if not rest:
-        return hits
-    stats = entry.block(*entry.rows(args, rest))
+    else:
+        return len(rows)  # exact relations only: each the strongest possible rejection
+    stats = entry.block(*entry.rows(args, rows))
     cv = report.critical_values[level]
     rejected = stats < cv if entry.tail == "left" else stats > cv
-    return hits + int(np.count_nonzero(rejected))
+    return int(np.count_nonzero(rejected))
 
 
 def _rejection_counts(test, null_spec, alt_spec, T, master, level, cv_source, args, start, stop):
@@ -517,13 +512,13 @@ def size_power_suite(
     size is the null rejection rate, power the alternative one, at the
     requested level.  Each chunk draws its null replications, then its
     alternative ones, from the same per-replication seeds whatever the
-    schedule.  The first replication of each chunk and branch runs the full
-    public test: that call checks the data, warns, and resolves the critical
-    value and tail through the test's own module, so the cache is read once
-    per chunk and branch.  The other replications are decided on the
-    registry's block evaluator, which gives the public statistic of every
-    row of a block at once from the public test's own design builder; for
-    the simulated statistics it is the code `mc_critical_values` runs.
+    schedule.  The full public test runs once per chunk and branch: it checks
+    the data, warns, and supplies the critical value through the test's own
+    module, so the cache is read once per chunk and branch.  Every
+    replication is decided on the registry's block evaluator, which gives
+    the public statistic of every row of a block at once from the public
+    test's own design builder; for the simulated statistics it is the code
+    `mc_critical_values` runs.
     """
     if not isinstance(reps, (int, np.integer)) or reps < 1:
         raise DomainError("reps must be a positive integer")

@@ -1,11 +1,11 @@
 """Design matrix construction and the least squares kernel.
 
-Regressions are declared as a :class:`DesignSpec`: a response reference plus
-a list of term objects (intercept, lags, trend, break dummies and their lag
-interactions, contemporaneous levels, and lead/lag differences).  The
-builder aligns all terms on a common effective sample, trimming exactly as
-many observations from each end as the terms require.  :func:`lag_design`
-builds the AR and VAR lag regression, whose lower orders are its prefixes.
+:func:`lag_design` builds the lag regression of every AR, VAR, Chow and
+Granger fit; its lower orders are its prefixes.  A :class:`DesignSpec`
+declares other regressions, for DOLS and the public API: a response plus
+term objects (intercept, lags, trend, break dummies and their lag
+interactions, contemporaneous levels, lead/lag differences), aligned on a
+common effective sample trimmed at each end by exactly what the terms need.
 
 Least squares goes through one kernel, :func:`qr_lstsq`: one QR
 factorisation of [X | Y] over a stack of designs, each with one response or

@@ -221,6 +221,22 @@ def test_emit_csv_files(data, tmp_path):
     assert len(lines) == 6
 
 
+def test_describe_constant_column_is_strict_json(tmp_path):
+    # a constant series has no autocorrelations; RFC 8259 JSON has no NaN token
+    path = tmp_path / "flat.csv"
+    path.write_text("c\n" + "3.5\n" * 30)
+    code, out, err = run_cli("describe", path, "--max-lag", "3")
+    assert code == 0, err
+
+    def refuse(token):
+        raise ValueError(f"non-JSON constant {token}")
+
+    report = json.loads(out, parse_constant=refuse)
+    assert not list(VALIDATOR.iter_errors(report))
+    assert report["result"]["autocovariances"] == [0.0] * 4
+    assert report["result"]["autocorrelations"] == [None] * 4
+
+
 def test_exit_code_domain_error(data):
     code, out, err = run_cli("describe", data["ar"], "--col", "nope")
     assert code == 1

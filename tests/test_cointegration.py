@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -72,11 +74,25 @@ def test_eg_adf_guards():
     y = TimeSeries(x.values * 1.5, label="y")
     with pytest.raises(DomainError):
         eg_adf_test(y, [])
-    xs5 = [TimeSeries(x.values + i, label=f"x{i}") for i in range(5)]
-    with pytest.raises(DomainError):
+    # five independent walks: the packaged table stops at four regressors
+    rng = rng_for(56)
+    xs5 = [TimeSeries(sample_values(RandomWalk(), 200, rng), label=f"x{i}") for i in range(5)]
+    with pytest.raises(DomainError,
+                       match=re.escape("no cached critical values for 'egadf|n_regressors=5'")):
         eg_adf_test(y, xs5)
     with pytest.raises(DomainError):
         eg_adf_test(y, [TimeSeries(x.values, label="y")])  # duplicate label
+
+
+def test_eg_adf_theta_of_a_regressor_labelled_const():
+    # theta is read by position, so a regressor named like the intercept keeps its own
+    pair = simulate(CointegratedPair(theta=2.0, noise_ar=0.4, seed=14), 300)
+    x = pair["x"].values
+    named = eg_adf_test(pair["y"], [TimeSeries(x, label="x")])
+    const = eg_adf_test(pair["y"], [TimeSeries(x, label="const")])
+    assert const.theta[0] == named.theta[0] == pytest.approx(2.0, abs=0.05)
+    assert const.alpha == named.alpha
+    assert const.eg_adf.nuisance["theta"] == {"const": named.theta[0]}
 
 
 def test_eg_adf_reads_a_five_regressor_entry_from_a_cv_file(tmp_path):
@@ -134,6 +150,16 @@ def test_dols_window_shape_and_recovery():
     assert fit.theta[0] == pytest.approx(2.0, abs=0.03)
     assert sorted(fit.deltas["x"]) == [-2, -1, 0, 1, 2]
     assert fit.fit.n_obs == 2_000 - 2 - (2 + 1)  # p + 1 head rows, p tail rows
+
+
+def test_dols_theta_of_a_regressor_labelled_const():
+    pair = simulate(CointegratedPair(theta=2.0, endogeneity=0.6, noise_ar=0.3, seed=22), 2_000)
+    x = pair["x"].values
+    named = dols(pair["y"], [TimeSeries(x, label="x")], p=2)
+    const = dols(pair["y"], [TimeSeries(x, label="const")], p=2)
+    assert const.theta[0] == named.theta[0] == pytest.approx(2.0, abs=0.03)
+    assert const.intercept == named.intercept
+    assert const.deltas == {"const": named.deltas["x"]}
 
 
 def test_dols_level_terms_drop_contemporaneous():

@@ -19,6 +19,7 @@ from tsecon import (
     VarProcess,
     WhiteNoise,
     adf_test,
+    eg_adf_test,
     mc_critical_values,
     qlr_test,
     rng_for,
@@ -28,7 +29,7 @@ from tsecon import (
 )
 from tsecon.breaks import chow_f_scan, qlr_window
 from tsecon.cli import build_parser
-from tsecon.cvcache import _params_key
+from tsecon.cvcache import _params_key, default_cache
 from tsecon.montecarlo import _SIMULATED, _STATISTICS, _chunk_bounds
 from tsecon.unitroot import adf_block_statistic, adf_statistic
 
@@ -145,6 +146,27 @@ def test_to_entry_round_trips_through_a_cache_file(tmp_path):
     loaded = CriticalValueCache.load(str(path))
     got = loaded.lookup("adf", {"deterministic": "drift", "lags": "0"}, run.levels)
     assert got.quantiles == entry.quantiles
+
+
+def _walks(seed, *names):
+    return [TimeSeries(sample_values(RandomWalk(), 100, rng_for(seed, j)), label=nm)
+            for j, nm in enumerate(names)]
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda cache: adf_test(*_walks(1, "y"), cv_source=cache), "ADF"),
+    (lambda cache: qlr_test(TimeSeries(sample_values(WhiteNoise(), 100, rng_for(2))), p=1,
+                            cv_source=cache), "QLR"),
+    (lambda cache: eg_adf_test(*_walks(3, "y", "x"), cv_source=cache), "EG-ADF"),
+])
+def test_a_cached_entry_with_the_wrong_tail_is_refused(call, name):
+    flip = {"left": "right", "right": "left"}
+    packaged = default_cache()
+    flipped = CriticalValueCache([replace(e, tail=flip[e.tail]) for e in packaged.entries.values()],
+                                 generator=packaged.generator)
+    call(packaged)  # the packaged entries pass
+    with pytest.raises(DomainError, match=f"^cached {name} entry has the wrong tail direction$"):
+        call(flipped)
 
 
 def test_cache_lookup_errors(tmp_path):

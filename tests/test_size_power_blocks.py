@@ -1,8 +1,8 @@
-"""Size/power studies decide most replications on block statistics.
+"""Size/power studies decide every replication on block statistics.
 
-`size_power_suite` runs the public test on the first replication of each chunk
-and branch and decides the others on the registry's block evaluator against
-that report's critical value.  These tests hold the block decisions to the
+`size_power_suite` runs the public test once per chunk and branch, for its
+critical value, and decides every replication on the registry's block
+evaluator against that value.  These tests hold the block decisions to the
 public ones row by row, the counts to a per-replication public loop, and the
 number of public calls to one per chunk and branch, for every test of the
 registry.
@@ -31,7 +31,10 @@ from tsecon import (
     chow_test,
     default_cache,
     eg_adf_test,
+    fit_ar,
+    forecast_ar,
     granger_test,
+    pseudo_out_of_sample_rmsfe,
     qlr_test,
     simulate,
     size_power_suite,
@@ -328,6 +331,11 @@ def test_registry_blocks_serve_mc_and_size_power():
     lambda: chow_test(simulate(ArProcess(betas=(0.5,), seed=2), 100), p=2, tau=50),
     lambda: granger_test({"x": simulate(WhiteNoise(seed=3), 100),
                           "y": simulate(WhiteNoise(seed=4), 100)}, cause="x", effect="y", p=2),
+    lambda: qlr_test(simulate(WhiteNoise(seed=5), 100), p=1),
+    lambda: eg_adf_test(_walk(6, 100, "y"), [_walk(7, 100, "x1"), _walk(8, 100, "x2")]),
+    lambda: fit_ar(simulate(ArProcess(betas=(0.5,), seed=9), 100), 2),
+    lambda: forecast_ar(fit_ar(_walk(10, 100, "y"), 1), _walk(10, 100, "y"), 4),
+    lambda: pseudo_out_of_sample_rmsfe(simulate(ArProcess(betas=(0.5,), seed=11), 100), 2, 0.5),
 ])
 def test_public_tests_build_no_declared_design(monkeypatch, call):
     # each public test fits the design builder of its block evaluator, not a DesignSpec
