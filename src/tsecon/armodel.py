@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .ols import OlsFit, ar_prefix_cross_products, lag_design, solve_ols
+from .ols import OlsFit, ar_prefix_cross_products, lag_design, packed_index, solve_ols
 from .series import TimeSeries, require_series
 
 __all__ = [
@@ -293,11 +293,13 @@ def pseudo_out_of_sample_rmsfe(series: TimeSeries, p: int, split: float) -> floa
     if start < 2 * (p + 1) + 1 or T - start < 2 * (p + 1):
         raise DomainError("split leaves too few observations on one side")
     fit_ar(TimeSeries(series.values[:start], label=series.label, origin=series.origin), p)
-    X, y, xx, xy, _ = ar_prefix_cross_products(series.values, p)
+    X, y, S = ar_prefix_cross_products(series.values, p)
     # design row j forecasts value j + p from the window of rows 0..j-1
     first = start - p
+    # [X | y]'[X | y] of each window
+    M = S.T[first - 1 : -1, packed_index(p + 2)]
     try:
-        beta = np.linalg.solve(xx[first - 1 : -1], xy[first - 1 : -1, :, None])[..., 0]
+        beta = np.linalg.solve(M[:, :-1, :-1], M[:, :-1, -1:])[..., 0]
     except np.linalg.LinAlgError:
         raise DomainError("collinear regressors in a forecast window") from None
     errors = y[first:] - np.einsum("ti,ti->t", X[first:], beta)

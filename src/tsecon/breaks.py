@@ -13,7 +13,13 @@ import numpy as np
 
 from .cvcache import default_cache
 from .errors import DomainError
-from .ols import ar_prefix_cross_products, exclusion_f_test, lag_design, solve_ols
+from .ols import (
+    ar_prefix_cross_products,
+    exclusion_f_test,
+    lag_design,
+    normal_equations_ssr,
+    solve_ols,
+)
 from .report import DEFAULT_LEVELS, TestReport, make_test_report
 from .series import TimeSeries, require_series
 
@@ -88,35 +94,36 @@ def chow_f_scan(paths: np.ndarray, p: int, taus: np.ndarray) -> np.ndarray:
     paths has shape (R, T).  The unrestricted SSR at a split equals the sum
     of the two single-regime SSRs (the dummy block makes the regimes
     independent), so each candidate needs only prefix and suffix
-    cross-product matrices, accumulated once.  A singular regime design or a
-    non-finite F anywhere in the block raises :class:`DomainError`.
+    cross-products, accumulated once by :func:`ols.ar_prefix_cross_products`.
+    Each regime's SSR s - h'G^-1 h comes from one symmetric elimination
+    (:func:`ols.normal_equations_ssr`) over whole arrays of every path and
+    date, with no coefficients and no solve per matrix.  A singular regime
+    design or a non-finite F anywhere in the block raises
+    :class:`DomainError`.
     """
     Y = np.atleast_2d(np.asarray(paths, dtype=float))
     n = Y.shape[1] - p
     k = p + 1
     taus = np.asarray(taus)
+    N = taus.size
     # regimes carry their own intercepts, so centring changes no SSR
-    _, _, P, q, s = ar_prefix_cross_products(Y, p)
-
-    def ssr(G, h, sq):
-        beta = np.linalg.solve(G, h[..., None])[..., 0]
-        return np.maximum(sq - np.einsum("...i,...i->...", h, beta), 0.0)
-
-    m1 = taus - p + 1  # regime-1 row counts
-    G1, h1, s1 = P[:, m1 - 1], q[:, m1 - 1], s[:, m1 - 1]
-    Gt, ht, st = P[:, -1], q[:, -1], s[:, -1]
-    G2, h2, s2 = Gt[:, None] - G1, ht[:, None] - h1, st[:, None] - s1
-
+    S = ar_prefix_cross_products(Y, p)[2]
+    # per entry, (R, 2N + 1): regime 1 (rows 0..tau - p) and regime 2 at each
+    # date, then the full sample
+    A = np.empty(S.shape[:-1] + (2 * N + 1,))
+    np.take(S, taus - p, axis=-1, out=A[..., :N])
+    A[..., 2 * N] = S[..., -1]
+    np.subtract(A[..., 2 * N :], A[..., :N], out=A[..., N : 2 * N])
     try:
-        ssr_full = ssr(Gt, ht, st)[:, None]
-        ssr_split = ssr(G1, h1, s1) + ssr(G2, h2, s2)
+        ssr = np.maximum(normal_equations_ssr(A), 0.0)
     except np.linalg.LinAlgError:
         raise DomainError("collinear regressors inside the break scan") from None
     df_den = n - 2 * k
     if df_den < 1:
         raise DomainError("no residual degrees of freedom in the split regressions")
+    ssr_split = ssr[:, :N] + ssr[:, N : 2 * N]
     with np.errstate(divide="ignore", invalid="ignore"):
-        F = (np.maximum(ssr_full - ssr_split, 0.0) / k) / (ssr_split / df_den)
+        F = (np.maximum(ssr[:, 2 * N :] - ssr_split, 0.0) / k) / (ssr_split / df_den)
     if not np.all(np.isfinite(F)):
         raise DomainError("degenerate residual variance inside the break scan")
     return F

@@ -177,9 +177,17 @@ def _pick_many(dataset: Dataset, cols: str | None, flag: str = "--cols") -> dict
 
 
 def _pick_regression(dataset: Dataset, args) -> tuple:
-    """The --y column, the --x names and their columns."""
+    """The --y column, the --x names and their columns.
+
+    A regression report keys its entries by column name and names the
+    intercept "const", so neither --y nor --x may use that name.
+    """
     y = _column(dataset, args.y)
     xnames = _split_names(args.x, "--x")
+    for flag, names in (("--y", [args.y]), ("--x", xnames)):
+        if "const" in names:
+            raise DomainError(f"{flag} names a column 'const', the name of the intercept; "
+                              "rename the column")
     return y, xnames, [_column(dataset, nm) for nm in xnames]
 
 

@@ -15,14 +15,18 @@ formula, :meth:`QrFit.solve`: :func:`solve_ols` reads it for one design and
 the Monte Carlo block evaluators for a stack, so a public test's statistic
 is bit for bit the one-row case of its block.  The one normal-equations
 path is :func:`ar_prefix_cross_products`, for AR(p) fits on every row
-prefix of a path: the break-date scan `breaks.chow_f_scan` and the
-rolling-origin forecasts of `armodel.pseudo_out_of_sample_rmsfe`.  An
-extended precision normal-equations oracle lives in the test suite for
-cross checking.
+prefix of a path, with one contiguous cumulant per entry of [X | y]'[X | y].
+The break-date scan `breaks.chow_f_scan` needs only SSRs, which its
+elimination kernel :func:`normal_equations_ssr` reads over whole arrays of
+paths and dates; the rolling-origin forecasts of
+`armodel.pseudo_out_of_sample_rmsfe` need coefficients, from one batched
+``np.linalg.solve``.  An extended precision normal-equations oracle lives in
+the test suite for cross checking.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence, Union
 
@@ -54,6 +58,8 @@ __all__ = [
     "f_statistic",
     "exclusion_f_test",
     "ar_prefix_cross_products",
+    "packed_index",
+    "normal_equations_ssr",
 ]
 
 
@@ -532,13 +538,58 @@ def ar_prefix_cross_products(paths: np.ndarray, p: int) -> tuple:
     Row j regresses value j + p on an intercept and p lags.  y and the lag
     columns are centred on their means, which changes no residual of a
     prefix regression but keeps the cumulants well conditioned.  Returns the
-    centred X (..., n, k) and y, then X'X, X'y and y'y over rows 0..m at
-    index m of xx (..., n, k, k), xy (..., n, k) and yy (..., n).
+    centred X (..., n, k) and y, then S (m, ..., n), m = (k + 1)(k + 2) / 2,
+    the lower triangle of Z'Z, Z = [X | y]: entry (i, j), i >= j, summed over
+    rows 0..t sits at S[packed_index(k + 1)[i, j], ..., t].  Each entry is one
+    contiguous cumulant, and the last row of Z'Z holds X'y and then y'y.
     """
     X = lag_design(paths[..., None], ("y",), p)[0]
     y = paths[..., p:] - paths[..., p:].mean(axis=-1, keepdims=True)
     X[..., 1:] -= X[..., 1:].mean(axis=-2, keepdims=True)
-    xx = np.cumsum(np.einsum("...ti,...tj->...tij", X, X), axis=-3)
-    xy = np.cumsum(np.einsum("...ti,...t->...ti", X, y), axis=-2)
-    yy = np.cumsum(y**2, axis=-1)
-    return X, y, xx, xy, yy
+    k = X.shape[-1]
+    Z = np.concatenate([np.moveaxis(X, -1, 0), y[None]])
+    S = np.empty((_packed(k, k) + 1,) + y.shape)
+    for i in range(k + 1):
+        for j in range(i + 1):
+            np.multiply(Z[i], Z[j], out=S[_packed(i, j)])
+    np.cumsum(S, axis=-1, out=S)
+    return X, y, S
+
+
+def _packed(i: int, j: int) -> int:
+    """Position of entry (i, j), i >= j, in a lower triangle packed row by row."""
+    return i * (i + 1) // 2 + j
+
+
+def packed_index(k: int) -> np.ndarray:
+    """(k, k) positions of the entries of a symmetric matrix in its packed lower triangle.
+
+    Rows follow one another, so entry (i, j), i >= j, sits at
+    i (i + 1) / 2 + j, the order of ``np.tril_indices``; (j, i) shares it.
+    """
+    return np.array([[_packed(i, j) if i >= j else _packed(j, i) for j in range(k)]
+                     for i in range(k)])
+
+
+def normal_equations_ssr(A: np.ndarray) -> np.ndarray:
+    """SSR s - h'G^-1 h of every system packed in A (m, ...), by symmetric elimination.
+
+    A holds the packed lower triangle (:func:`packed_index`) of
+    [[G, h], [h', s]], G (k, k), one whole array per entry, as
+    :func:`ar_prefix_cross_products` lays out its cumulants.  Eliminating
+    the k pivots of G leaves the Schur complement s - h'G^-1 h in the last
+    entry.  Unrolled over the entries, each step is one operation on whole
+    arrays, whatever the number of systems.  G is positive semi-definite, so
+    no pivoting is needed.  A is overwritten.  An exact zero pivot raises
+    :class:`numpy.linalg.LinAlgError`, as a singular ``np.linalg.solve`` does.
+    """
+    k = (math.isqrt(8 * A.shape[0] + 1) - 3) // 2
+    for j in range(k):
+        pivot = A[_packed(j, j)]
+        if not pivot.all():
+            raise np.linalg.LinAlgError("Singular matrix")
+        for i in range(j + 1, k + 1):
+            f = A[_packed(i, j)] / pivot
+            for l in range(j + 1, i + 1):
+                A[_packed(i, l)] -= f * A[_packed(l, j)]
+    return A[-1]

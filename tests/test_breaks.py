@@ -18,6 +18,7 @@ from tsecon import (
     qlr_window,
     simulate,
 )
+from tsecon.breaks import chow_design
 from tsecon.ols import (
     BreakDummy,
     BreakLagInteraction,
@@ -27,6 +28,7 @@ from tsecon.ols import (
     Level,
     f_statistic,
     fit_design,
+    qr_lstsq,
     solve_ols,
 )
 from tsecon.report import DEFAULT_LEVELS, decide, p_bracket
@@ -140,6 +142,37 @@ def test_scan_shift_invariance():
     a = chow_f_scan(series.values[None, :], 1, taus)
     b = chow_f_scan(series.values[None, :] + 500.0, 1, taus)
     assert np.allclose(a, b, atol=1e-6)
+
+
+def ar1_block(phi, level, R, T, seed):
+    rng = np.random.default_rng(seed)
+    e = rng.normal(size=(R, T))
+    v = np.empty((R, T))
+    v[:, 0] = e[:, 0]
+    for t in range(1, T):
+        v[:, t] = phi * v[:, t - 1] + e[:, t]
+    return v + level
+
+
+@pytest.mark.parametrize("p", [1, 2, 4])
+@pytest.mark.parametrize("T", [60, 200, 1000])
+def test_scan_matches_the_qr_path_and_scans_each_row_alone(p, T):
+    worst = 0.0
+    for phi in (0.0, 0.5, 0.95):
+        for level in (0.0, 300.0, 1e4):
+            paths = ar1_block(phi, level, 3, T, seed=100 * p + T)
+            taus = qlr_window(T, p, 0.15)
+            scan = chow_f_scan(paths, p, taus)
+            # the QR path of chow_test, one date at a time over the block
+            ref = np.stack([qr_lstsq(*chow_design(paths, p, int(tau))[:2]).exclusion_f(p + 1)
+                            for tau in taus], axis=-1)
+            worst = max(worst, np.max(np.abs(scan / ref - 1.0)))
+            # every row of a block is the scan of its path alone, bit for bit
+            for r, path in enumerate(paths):
+                assert np.array_equal(chow_f_scan(path[None], p, taus)[0], scan[r])
+    # 1.8e-9 at worst over this grid, the QR path's own error on raw levels:
+    # against exact rational arithmetic (p = 1) the scan is within 3.7e-10
+    assert worst <= 1e-8
 
 
 def test_qlr_dominates_chow():

@@ -248,6 +248,18 @@ def test_exit_code_domain_error(data):
     assert "cannot read" in err
 
 
+@pytest.mark.parametrize("command", [("dols", "--p", "1"), ("coint",)], ids=["dols", "coint"])
+def test_regression_refuses_a_variable_named_const(command, data, tmp_path):
+    # the report keys coefficients by column name, and "const" is the intercept's
+    lines = data["pair"].read_text(encoding="utf-8").splitlines()
+    f = _write(tmp_path / "d.csv", "\n".join([lines[0].replace("x", "const")] + lines[1:]))
+    for flag, y, x in (("--x", "y", "const"), ("--y", "const", "y")):
+        code, out, err = run_cli(command[0], f, "--y", y, "--x", x, *command[1:])
+        assert code == 1
+        assert out == ""
+        assert f"{flag} names a column 'const', the name of the intercept" in err
+
+
 def test_exit_code_usage_error(data):
     code, _, _ = run_cli("adf", data["rw"], "--det", "quadratic")
     assert code == 2

@@ -34,9 +34,12 @@ from tsecon.montecarlo import _SIMULATED, _STATISTICS, _chunk_bounds
 from tsecon.unitroot import adf_block_statistic, adf_statistic
 
 
-def test_run_is_independent_of_scheduling():
-    kwargs = dict(statistic="adf", params={"deterministic": "drift", "lags": 0},
-                  T_sim=60, reps=1_200, seed=5)
+@pytest.mark.parametrize("statistic, params", [
+    ("adf", {"deterministic": "drift", "lags": 0}),
+    ("qlr", {"p": 2, "trim": 0.15}),
+], ids=["adf", "qlr"])
+def test_run_is_independent_of_scheduling(statistic, params):
+    kwargs = dict(statistic=statistic, params=params, T_sim=60, reps=1_200, seed=5)
     a = mc_critical_values(**kwargs, chunk_size=1_200)
     b = mc_critical_values(**kwargs, chunk_size=171)
     c = mc_critical_values(**kwargs, workers=2, chunk_size=300)

@@ -12,8 +12,11 @@ from tsecon import (
     solve_ols,
 )
 from tsecon.ols import (
+    ar_prefix_cross_products,
     exclusion_f_test,
     lag_design,
+    normal_equations_ssr,
+    packed_index,
     qr_lstsq,
     BreakDummy,
     BreakLagInteraction,
@@ -359,3 +362,39 @@ def test_lag_design_layout():
     assert np.array_equal(Xs[0], X) and np.array_equal(Xs[1][:, 1:], 2.0 * X[:, 1:])
     # a lower order on the same rows is a prefix: order 1 on rows 2.. of the series
     assert np.array_equal(lag_design(values[1:], ("a", "b"), 1)[0], X[:, :3])
+
+
+@pytest.mark.parametrize("p", [1, 2, 4])
+@pytest.mark.parametrize("shape", [(120,), (3, 120)], ids=["one_path", "block"])
+def test_prefix_cross_products_are_the_cumulants_of_the_centred_design(rng, p, shape):
+    paths = 300.0 + np.cumsum(rng.normal(size=shape), axis=-1)
+    X, y, S = ar_prefix_cross_products(paths, p)
+    k = p + 1
+    assert S.shape == ((k + 1) * (k + 2) // 2,) + y.shape
+    # the products and sequential sums of a cumulative X'X, X'y and y'y, bit for bit
+    xx = np.cumsum(np.einsum("...ti,...tj->...tij", X, X), axis=-3)
+    xy = np.cumsum(np.einsum("...ti,...t->...ti", X, y), axis=-2)
+    at = packed_index(k + 1)
+    assert np.array_equal(np.moveaxis(S[at[:k, :k]], (0, 1), (-2, -1)), xx)
+    assert np.array_equal(np.moveaxis(S[at[k, :k]], 0, -1), xy)
+    assert np.array_equal(S[-1], np.cumsum(y**2, axis=-1))
+    assert np.array_equal(at, at.T)
+    assert at[np.tril_indices(k + 1)].tolist() == list(range(S.shape[0]))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_normal_equations_ssr_is_the_schur_complement(rng, k):
+    Z = rng.normal(size=(4, 7, 40, k + 1))
+    M = np.einsum("...ti,...tj->...ij", Z, Z)
+    G, h, s = M[..., :k, :k], M[..., :k, k], M[..., k, k]
+    ref = s - np.einsum("...i,...i->...", h, np.linalg.solve(G, h[..., None])[..., 0])
+    lower = np.tril_indices(k + 1)
+    A = np.moveaxis(M[(..., *lower)], -1, 0).copy()
+    assert np.allclose(normal_equations_ssr(A), ref, rtol=1e-10, atol=0.0)
+    # a design column of zeros in one system leaves an exact zero pivot, as
+    # singular as it is for np.linalg.solve
+    Z[2, 5, :, k - 1] = 0.0
+    M = np.einsum("...ti,...tj->...ij", Z, Z)
+    A = np.moveaxis(M[(..., *lower)], -1, 0).copy()
+    with pytest.raises(np.linalg.LinAlgError):
+        normal_equations_ssr(A)
