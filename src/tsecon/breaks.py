@@ -26,6 +26,30 @@ from .series import TimeSeries, require_series
 __all__ = ["chow_test", "qlr_test", "qlr_window", "chow_f_scan"]
 
 
+def _break_window(T: int, p: int) -> tuple[int, int]:
+    """The first and last break position that leaves both regimes p + 2 observations.
+
+    Regime 1 holds rows p..tau, tau - p + 1 of them, and regime 2 the other
+    T - tau - 1, so the window is 2p + 1 .. T - p - 3.
+    """
+    return 2 * p + 1, T - p - 3
+
+
+def _check_breaks(taus, T: int, p: int) -> None:
+    """Refuse break positions that are not integers or fall outside :func:`_break_window`."""
+    taus = np.asarray(taus)
+    if not np.issubdtype(taus.dtype, np.integer):
+        raise DomainError("break position must be an integer")
+    lo, hi = _break_window(T, p)
+    outside = taus[(taus < lo) | (taus > hi)]
+    if outside.size:
+        tau = int(outside.flat[0])
+        raise DomainError(
+            f"break at position {tau} leaves regimes of {max(tau - p + 1, 0)} and "
+            f"{max(T - tau - 1, 0)} observations; both need at least {p + 2}"
+        )
+
+
 def chow_design(paths: np.ndarray, p: int, tau: int, name: str = "y") -> tuple:
     """X, y and column names of the Chow regression of every row of paths (..., T).
 
@@ -47,17 +71,9 @@ def chow_test(series: TimeSeries, p: int, tau: int, levels=DEFAULT_LEVELS) -> Te
     require_series("chow_test", series)
     if not isinstance(p, (int, np.integer)) or p < 1:
         raise DomainError("autoregressive order must be a positive integer")
-    if not isinstance(tau, (int, np.integer)):
-        raise DomainError("break position must be an integer")
     T = len(series)
-    n = T - p
-    m1 = tau - p + 1
-    m2 = n - m1
-    if m1 < p + 2 or m2 < p + 2:
-        raise DomainError(
-            f"break at position {tau} leaves regimes of {max(m1, 0)} and {max(m2, 0)} "
-            f"observations; both need at least {p + 2}"
-        )
+    _check_breaks(tau, T, p)
+    m1, m2 = tau - p + 1, T - tau - 1
     X, y, names = chow_design(series.values, p, tau, series.label or "y")
     ftest = exclusion_f_test(solve_ols(X, y, names), q=p + 1)
     return make_test_report(
@@ -81,8 +97,9 @@ def qlr_window(T: int, p: int, trim: float) -> np.ndarray:
     """Candidate break positions: trimmed range intersected with feasibility."""
     if not (0.0 < trim < 0.5):
         raise DomainError("trim must lie strictly between 0 and 0.5")
-    lo = max(int(np.ceil(trim * T)), 2 * p + 1)
-    hi = min(int(np.floor((1.0 - trim) * T)), T - p - 3)
+    first, last = _break_window(T, p)
+    lo = max(int(np.ceil(trim * T)), first)
+    hi = min(int(np.floor((1.0 - trim) * T)), last)
     if hi < lo:
         raise DomainError(f"no feasible break candidates for T = {T}, p = {p}, trim = {trim}")
     return np.arange(lo, hi + 1)
@@ -99,12 +116,14 @@ def chow_f_scan(paths: np.ndarray, p: int, taus: np.ndarray) -> np.ndarray:
     (:func:`ols.normal_equations_ssr`) over whole arrays of every path and
     date, with no coefficients and no solve per matrix.  A singular regime
     design or a non-finite F anywhere in the block raises
-    :class:`DomainError`.
+    :class:`DomainError`, and so does a date that is not an integer or leaves
+    a regime fewer than p + 2 observations, as in :func:`chow_test`.
     """
     Y = np.atleast_2d(np.asarray(paths, dtype=float))
     n = Y.shape[1] - p
     k = p + 1
     taus = np.asarray(taus)
+    _check_breaks(taus, Y.shape[1], p)
     N = taus.size
     # regimes carry their own intercepts, so centring changes no SSR
     S = ar_prefix_cross_products(Y, p)[2]

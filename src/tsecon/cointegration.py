@@ -17,7 +17,7 @@ import numpy as np
 from .cvcache import default_cache
 from .errors import DomainError
 from .ols import (DesignSpec, DiffLag, Intercept, Lag, Level, OlsFit, common_length, exact_fit,
-                  fit_design, qr_lstsq, solve_ols)
+                  fit_design, lstsq_buffer, qr_factorise, solve_ols)
 from .report import DEFAULT_LEVELS, TestReport, make_test_report
 from .series import TimeSeries, difference, require_series
 from .unitroot import AdfSpec, adf_block_statistic, adf_statistic, adf_test
@@ -65,21 +65,33 @@ def _named_regressors(y: TimeSeries, xs) -> tuple[str, tuple, dict]:
 
 
 def eg_adf_design(paths: np.ndarray) -> tuple:
-    """The levels regression X = [const | x_1..x_m], y of (..., T, 1 + m) paths [y | x_1..x_m]."""
-    ones = np.ones(paths.shape[:-1] + (1,))
-    return np.concatenate([ones, paths[..., 1:]], axis=-1), paths[..., 0]
+    """The levels regression X = [const | x_1..x_m], y of (..., T, 1 + m) paths [y | x_1..x_m].
+
+    X is in C order, the layout whose fitted values X b every EG-ADF residual reads.
+    """
+    X = np.empty(paths.shape)
+    X[..., 0] = 1.0
+    X[..., 1:] = paths[..., 1:]
+    return X, paths[..., 0]
 
 
 def eg_adf_block_statistic(paths: np.ndarray) -> np.ndarray:
     """The EG-ADF t-ratios of `eg_adf_test` for every row of an (R, T, 1 + m) block.
 
-    A row whose levels regression (:func:`eg_adf_design`) fits exactly, where
+    Stage 1 writes the levels regression (:func:`eg_adf_design`) straight into
+    an `ols.lstsq_buffer` and factorises it.  Its residuals y - X b read X in
+    C order, as `solve_ols` does, since a product over the column-major buffer
+    rounds differently.  A row whose levels regression fits exactly, where
     `eg_adf_test` runs no ADF, gets -inf: the strongest possible rejection.
     """
-    R, T, _ = paths.shape
-    X, y = eg_adf_design(paths)
-    stage1 = qr_lstsq(X, y)
+    R, T, k = paths.shape
+    a = lstsq_buffer((R,), T, k + 1)
+    a[..., 0] = 1.0
+    a[..., 1:k] = paths[..., 1:]
+    a[..., k] = paths[..., 0]
+    stage1 = qr_factorise(a, k)
     beta = stage1.solve()[0]
+    X, y = eg_adf_design(paths)
     residuals = y - (X @ beta[..., None])[..., 0]
     live = ~exact_fit(stage1.rho**2, T, y)
     stats = np.full(R, -np.inf)

@@ -2,9 +2,11 @@
 
 Every spec is a frozen dataclass carrying its parameters plus a seed and an
 optional burn-in override.  ``simulate`` returns named :class:`TimeSeries`
-objects; the Monte Carlo engine instead calls :func:`sample_values` with its
-own per-replication generator, so simulated laws are identical through both
-entry points.
+objects through :func:`sample_values`, which draws one path from a supplied
+generator.  The Monte Carlo engine's null chunks draw each replication from
+its own generator into one block and turn the whole block into white noise or
+random walks with :func:`gaussian_paths`, the arithmetic `sample_values` runs
+for one path, so simulated laws are identical through every entry point.
 
 Burn-in defaults to 10x the recursion order with a floor of 50 for
 stationary kinds; random walks get none.  Stationary kinds reject unstable
@@ -34,6 +36,8 @@ __all__ = [
     "DgpSpec",
     "simulate",
     "sample_values",
+    "innovation_count",
+    "gaussian_paths",
     "rng_for",
 ]
 
@@ -342,6 +346,31 @@ def _arma_values(beta0, betas, alphas, sigma2, y0, burn_in, T, rng) -> np.ndarra
     return y[burn:]
 
 
+def innovation_count(spec: WhiteNoise | RandomWalk, T: int) -> int:
+    """Standard normal draws behind one WhiteNoise or RandomWalk path of length T."""
+    return T - 1 if isinstance(spec, RandomWalk) else T
+
+
+def gaussian_paths(spec: WhiteNoise | RandomWalk, z: np.ndarray) -> np.ndarray:
+    """WhiteNoise or RandomWalk paths (..., T) from their standard normal draws z.
+
+    z (..., innovation_count(spec, T)) holds each path's draws along its last
+    axis; it is overwritten.  White noise is sqrt(sigma2) z.  A walk starts at
+    y0 and adds the steps drift + sqrt(sigma2) z, cumulated along the last
+    axis.  :func:`sample_values` draws one path through this, and the Monte
+    Carlo engine a whole block of them, so a block's rows are its paths bit
+    for bit.
+    """
+    np.multiply(z, np.sqrt(spec.sigma2), out=z)
+    if isinstance(spec, WhiteNoise):
+        return z
+    np.add(z, spec.drift, out=z)
+    y = np.empty(z.shape[:-1] + (z.shape[-1] + 1,))
+    y[..., 0] = 0.0
+    np.cumsum(z, axis=-1, out=y[..., 1:])
+    return np.add(y, spec.y0, out=y)
+
+
 def sample_values(spec: DgpSpec, T: int, rng: np.random.Generator):
     """Draw one sample path as a plain array, using the supplied generator.
 
@@ -352,8 +381,8 @@ def sample_values(spec: DgpSpec, T: int, rng: np.random.Generator):
         raise DomainError("sample length must be a positive integer")
     T = int(T)
 
-    if isinstance(spec, WhiteNoise):
-        return np.sqrt(spec.sigma2) * rng.standard_normal(T)
+    if isinstance(spec, (WhiteNoise, RandomWalk)):
+        return gaussian_paths(spec, rng.standard_normal(innovation_count(spec, T)))
 
     if isinstance(spec, ArProcess):
         return _arma_values(
@@ -369,12 +398,6 @@ def sample_values(spec: DgpSpec, T: int, rng: np.random.Generator):
         return _arma_values(
             spec.beta0, spec.betas, spec.alphas, spec.sigma2, spec.y0, spec.burn_in, T, rng
         )
-
-    if isinstance(spec, RandomWalk):
-        if T == 1:
-            return np.array([spec.y0])
-        steps = spec.drift + np.sqrt(spec.sigma2) * rng.standard_normal(T - 1)
-        return spec.y0 + np.concatenate([[0.0], np.cumsum(steps)])
 
     if isinstance(spec, VarProcess):
         k, p = spec.k, spec.p

@@ -31,7 +31,9 @@ import numpy as np
 from .breaks import chow_design, chow_f_scan, chow_test, qlr_test, qlr_window
 from .cointegration import eg_adf_block_statistic, eg_adf_test
 from .cvcache import CvEntry
-from .dgp import GENERATOR_NAME, RandomWalk, WhiteNoise, rng_for, sample_values, simulate
+from .dgp import (GENERATOR_NAME, RandomWalk, WhiteNoise, gaussian_paths, innovation_count,
+                  rng_for, simulate)
+from .dgp import sample_values  # noqa: F401  rebound by perfbench/layers.py until ROADMAP item 2
 from .errors import DomainError
 from .ols import qr_lstsq
 from .report import DEFAULT_LEVELS
@@ -48,14 +50,15 @@ __all__ = ["McRun", "mc_critical_values", "SizePower", "size_power_suite"]
 def _null_paths(template, T: int, seed: int, start: int, stop: int, columns: int = 1):
     """Null sample paths of replications start..stop-1, shape (R, T, columns).
 
-    Replication i draws its columns in order from its own stream rng_for(seed, i).
+    Replication i draws its columns in order from its own stream rng_for(seed, i),
+    into one (R, columns, draws) block that `dgp.gaussian_paths` turns into
+    white noise or random walks at once; the result is a view of that block,
+    so each column of each replication is contiguous.
     """
-    paths = np.empty((stop - start, T, columns))
+    z = np.empty((stop - start, columns, innovation_count(template, T)))
     for i in range(stop - start):
-        rng = rng_for(seed, start + i)
-        for c in range(columns):
-            paths[i, :, c] = sample_values(template, T, rng)
-    return paths
+        rng_for(seed, start + i).standard_normal(out=z[i])
+    return gaussian_paths(template, z).swapaxes(1, 2)
 
 
 def _adf_block(parsed, paths: np.ndarray) -> np.ndarray:

@@ -7,13 +7,18 @@ term objects (intercept, lags, trend, break dummies and their lag
 interactions, contemporaneous levels, lead/lag differences), aligned on a
 common effective sample trimmed at each end by exactly what the terms need.
 
-Least squares goes through one kernel, :func:`qr_lstsq`: one QR
-factorisation of [X | Y] over a stack of designs, each with one response or
-several, which also gives the F test of nested restrictions
-(:func:`exclusion_f_test`).  Coefficients and standard errors have one
-formula, :meth:`QrFit.solve`: :func:`solve_ols` reads it for one design and
-the Monte Carlo block evaluators for a stack, so a public test's statistic
-is bit for bit the one-row case of its block.  The one normal-equations
+Least squares goes through one kernel: one QR factorisation of [X | Y]
+over a stack of designs, each with one response or several, which also
+gives the F test of nested restrictions (:func:`exclusion_f_test`).  This
+module owns the layout LAPACK factorises, a column-major [X | Y] per design
+(:func:`lstsq_buffer`), and the reading of r, c and rho off its factor
+(:func:`qr_factorise`).  :func:`qr_lstsq` fills that buffer from X and y; the
+ADF and Engle-Granger block evaluators write their columns straight into it,
+so a Monte Carlo chunk copies no design between its draws and LAPACK.
+Coefficients and standard errors have one formula, :meth:`QrFit.solve`:
+:func:`solve_ols` reads it for one design and the Monte Carlo block
+evaluators for a stack, so a public test's statistic is bit for bit the
+one-row case of its block.  The one normal-equations
 path is :func:`ar_prefix_cross_products`, for AR(p) fits on every row
 prefix of a path, with one contiguous cumulant per entry of [X | y]'[X | y].
 The break-date scan `breaks.chow_f_scan` needs only SSRs, which its
@@ -52,6 +57,8 @@ __all__ = [
     "build_design",
     "common_length",
     "lag_design",
+    "lstsq_buffer",
+    "qr_factorise",
     "qr_lstsq",
     "solve_ols",
     "fit_design",
@@ -373,6 +380,35 @@ class QrFit(NamedTuple):
         return (delta / q) / (self.rho**2 / (self.n_obs - k))
 
 
+def lstsq_buffer(lead: tuple, n: int, columns: int) -> np.ndarray:
+    """An empty stack of [X | Y] (*lead, n, columns), column-major in each design.
+
+    That is the layout LAPACK factorises, so ``np.linalg.qr`` in
+    :func:`qr_factorise` takes it with no reordering.  :func:`qr_lstsq` fills
+    it from X and y; the block
+    evaluators of `unitroot` and `cointegration` write their design columns
+    and response straight into it.
+    """
+    return np.empty(tuple(lead) + (columns, n)).swapaxes(-1, -2)
+
+
+def qr_factorise(a: np.ndarray, k: int, one_response: bool = True) -> QrFit:
+    """The QrFit of a filled :func:`lstsq_buffer` a = [X | Y] with k design columns.
+
+    One response gives r (..., k, k), c (..., k) and rho (...); otherwise the
+    responses are one more stack axis, as :class:`QrFit` describes.  a is not
+    modified.
+    """
+    n = a.shape[-2]
+    f = np.linalg.qr(a, mode="r")
+    if one_response:
+        return QrFit(r=f[..., :k, :k], c=f[..., :k, k], rho=f[..., k, k], n_obs=n)
+    S = f[..., k:, k:]
+    # sqrt(s^2) = |s| exactly, so a one-row S keeps its value
+    rho = np.copysign(np.sqrt(np.sum(S * S, axis=-2)), S[..., 0, :])
+    return QrFit(r=f[..., None, :k, :k], c=f[..., :k, k:].swapaxes(-1, -2), rho=rho, n_obs=n)
+
+
 def qr_lstsq(X: np.ndarray, y: np.ndarray) -> QrFit:
     """One QR factorisation of [X | y] for designs X (..., n, k), responses y (..., n).
 
@@ -380,20 +416,14 @@ def qr_lstsq(X: np.ndarray, y: np.ndarray) -> QrFit:
     [X | Y] = Q [[r, C], [0, S]]; c holds the columns of C and rho the signed
     norms of the columns of S, the residual norm of each response.
     Requires n > k.  The rank is not checked here; :func:`solve_ols` does.
+    Fills a :func:`lstsq_buffer` and hands it to :func:`qr_factorise`.
     """
     n, k = X.shape[-2:]
     Y = y if y.ndim == X.ndim else y[..., None]
-    # [X | Y], column-major in each design: the layout LAPACK factorises
-    a = np.empty(X.shape[:-2] + (k + Y.shape[-1], n)).swapaxes(-1, -2)
+    a = lstsq_buffer(X.shape[:-2], n, k + Y.shape[-1])
     a[..., :k] = X
     a[..., k:] = Y
-    f = np.linalg.qr(a, mode="r")
-    if Y is not y:
-        return QrFit(r=f[..., :k, :k], c=f[..., :k, k], rho=f[..., k, k], n_obs=n)
-    S = f[..., k:, k:]
-    # sqrt(s^2) = |s| exactly, so a one-row S keeps its value
-    rho = np.copysign(np.sqrt(np.sum(S * S, axis=-2)), S[..., 0, :])
-    return QrFit(r=f[..., None, :k, :k], c=f[..., :k, k:].swapaxes(-1, -2), rho=rho, n_obs=n)
+    return qr_factorise(a, k, Y is not y)
 
 
 def solve_ols(X: np.ndarray, y: np.ndarray, column_names: Sequence[str] | None = None):
@@ -547,7 +577,7 @@ def ar_prefix_cross_products(paths: np.ndarray, p: int) -> tuple:
     y = paths[..., p:] - paths[..., p:].mean(axis=-1, keepdims=True)
     X[..., 1:] -= X[..., 1:].mean(axis=-2, keepdims=True)
     k = X.shape[-1]
-    Z = np.concatenate([np.moveaxis(X, -1, 0), y[None]])
+    Z = [X[..., i] for i in range(k)] + [y]  # views: no copy of the design
     S = np.empty((_packed(k, k) + 1,) + y.shape)
     for i in range(k + 1):
         for j in range(i + 1):

@@ -19,7 +19,7 @@ import numpy as np
 
 from .cvcache import default_cache
 from .errors import DomainError
-from .ols import qr_lstsq, solve_ols
+from .ols import lstsq_buffer, qr_factorise, solve_ols
 from .ols import build_design  # noqa: F401  rebound by perfbench/layers.py until ROADMAP item 2
 from .report import DEFAULT_LEVELS, TestReport, make_test_report
 from .series import TimeSeries, require_series
@@ -68,28 +68,35 @@ class AdfSpec:
 
 
 def _adf_block_design(paths: np.ndarray, deterministic: str, lags: int):
-    """The ADF regression of every row of an (R, T) block of paths.
+    """The ADF regression of every row of an (R, T) block of paths, as [X | y].
 
-    Rows t = lags + 1 .. T - 1; returns X (R, rows, k), y (R, rows) and the column names.
+    Rows t = lags + 1 .. T - 1.  The k columns of X and then y are written
+    straight into an `ols.lstsq_buffer` (R, rows, k + 1), ready for
+    `ols.qr_factorise`; returns it and the column names.  The buffer is
+    column-major, so a product that must match a C-order X bit for bit
+    (`solve_ols`' fitted values) needs a C-order copy of X.
     """
     R, T = paths.shape
     t0 = lags + 1
     rows = T - t0
-    k = _FIXED_COLUMNS[deterministic] + lags
+    fixed = _FIXED_COLUMNS[deterministic]
+    k = fixed + lags
     if rows < k + 1:
         raise DomainError(f"effective sample of {max(rows, 0)} rows cannot identify {k} parameters")
-    dy = paths[:, 1:] - paths[:, :-1]  # dy[:, t-1] = y_t - y_{t-1}
-    cols = []
-    names = ["const", "trend"][: _FIXED_COLUMNS[deterministic] - 1]
+    a = lstsq_buffer((R,), rows, k + 1)
     if deterministic in ("drift", "trend"):
-        cols.append(np.ones((R, rows)))
+        a[..., 0] = 1.0
     if deterministic == "trend":
-        cols.append(np.broadcast_to(np.arange(t0, T, dtype=float), (R, rows)))
-    cols.append(paths[:, t0 - 1 : T - 1])
+        a[..., 1] = np.arange(t0, T, dtype=float)
+    a[..., fixed - 1] = paths[:, t0 - 1 : T - 1]
+    # column fixed - 1 + j holds dy_{t-j} = y_{t-j} - y_{t-j-1}; j = 0 is the response
     for j in range(1, lags + 1):
-        cols.append(dy[:, t0 - 1 - j : T - 1 - j])
-    names += ["y.l1"] + [f"dy.l{j}" for j in range(1, lags + 1)]
-    return np.stack(cols, axis=2), dy[:, t0 - 1 :], tuple(names)
+        np.subtract(paths[:, t0 - j : T - j], paths[:, t0 - 1 - j : T - 1 - j],
+                    out=a[..., fixed - 1 + j])
+    np.subtract(paths[:, t0:], paths[:, t0 - 1 : T - 1], out=a[..., k])
+    names = ("const", "trend")[: fixed - 1] + ("y.l1",)
+    names += tuple(f"dy.l{j}" for j in range(1, lags + 1))
+    return a, names
 
 
 def select_adf_lags(paths: np.ndarray, deterministic: str, p_max: int):
@@ -103,10 +110,11 @@ def select_adf_lags(paths: np.ndarray, deterministic: str, p_max: int):
     if deterministic not in _FIXED_COLUMNS:
         raise DomainError(f"deterministic must be one of {tuple(_FIXED_COLUMNS)}")
     paths = np.asarray(paths, dtype=float)
-    X, y, _ = _adf_block_design(np.atleast_2d(paths), deterministic, p_max)
-    n = y.shape[1]
+    a, names = _adf_block_design(np.atleast_2d(paths), deterministic, p_max)
+    n = a.shape[1]
     k_fixed = _FIXED_COLUMNS[deterministic]
-    ssr = qr_lstsq(X, y).prefix_ssr()[:, k_fixed:]  # column ell: the candidate with ell lags
+    # column ell: the candidate with ell lags
+    ssr = qr_factorise(a, len(names)).prefix_ssr()[:, k_fixed:]
     k = k_fixed + np.arange(p_max + 1)
     bic = np.log(np.maximum(ssr, 1e-300) / n) + k * np.log(n) / n
     chosen = np.argmin(bic, axis=1)  # first minimum = fewest lags on ties
@@ -122,7 +130,8 @@ def adf_block_statistic(paths: np.ndarray, deterministic: str, lags) -> np.ndarr
             mask = chosen == ell
             stats[mask] = adf_block_statistic(paths[mask], deterministic, int(ell))
         return stats
-    beta, stderrs = qr_lstsq(*_adf_block_design(paths, deterministic, int(lags))[:2]).solve()
+    a, names = _adf_block_design(paths, deterministic, int(lags))
+    beta, stderrs = qr_factorise(a, len(names)).solve()
     i = _FIXED_COLUMNS[deterministic] - 1  # the y_{t-1} column
     return beta[:, i] / stderrs[:, i]
 
@@ -134,8 +143,9 @@ def adf_statistic(values: np.ndarray, deterministic: str, lags: int | str):
         lags_used = select_adf_lags(values, deterministic, p_max)
     else:
         lags_used = int(lags)
-    X, y, names = _adf_block_design(values[None], deterministic, lags_used)
-    fit = solve_ols(X[0], y[0], names)
+    a, names = _adf_block_design(values[None], deterministic, lags_used)
+    # fitted values read X in C order, as `lag_design` and every other public fit lay it out
+    fit = solve_ols(np.ascontiguousarray(a[0, :, :-1]), a[0, :, -1], names)
     return fit.t_stat("y.l1"), fit, lags_used
 
 

@@ -218,6 +218,26 @@ def test_qlr_guards():
             qlr_test(wrong, p=1)
 
 
+def test_chow_f_scan_refuses_dates_outside_the_chow_window():
+    # T = 100, p = 1: both regimes keep p + 2 rows for dates 3..96, as chow_test requires
+    values = simulate(WhiteNoise(seed=1), 100).values
+    series = TimeSeries(values)
+    for tau in (2, 97, 98, -5, 150):
+        with pytest.raises(DomainError, match=f"^break at position {tau} leaves regimes of"):
+            chow_f_scan(values, 1, np.array([tau]))
+        with pytest.raises(DomainError, match=f"^break at position {tau} leaves regimes of"):
+            chow_test(series, 1, tau)
+    with pytest.raises(DomainError, match="^break at position 98 leaves regimes of"):
+        chow_f_scan(values, 1, np.array([50, 98]))
+    for taus in (np.array([3.5]), np.array([50.0]), [50, 3.5]):
+        with pytest.raises(DomainError, match="^break position must be an integer$"):
+            chow_f_scan(values, 1, taus)
+    scan = chow_f_scan(values, 1, np.array([3, 96]))[0]
+    assert scan == pytest.approx([chow_test(series, 1, 3).statistic,
+                                  chow_test(series, 1, 96).statistic], rel=1e-8)
+    assert qlr_window(100, 1, 0.01).tolist() == list(range(3, 97))
+
+
 def two_fit_chow_f(series, p, tau):
     """Reference: fit the restricted and the unrestricted model, compare by f_statistic."""
     name = series.label or "y"

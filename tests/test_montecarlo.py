@@ -30,14 +30,16 @@ from tsecon import (
 from tsecon.breaks import chow_f_scan, qlr_window
 from tsecon.cli import build_parser
 from tsecon.cvcache import _params_key, default_cache
-from tsecon.montecarlo import _SIMULATED, _STATISTICS, _chunk_bounds
+from tsecon.montecarlo import _SIMULATED, _STATISTICS, _chunk_bounds, _null_paths
 from tsecon.unitroot import adf_block_statistic, adf_statistic
 
 
 @pytest.mark.parametrize("statistic, params", [
     ("adf", {"deterministic": "drift", "lags": 0}),
     ("qlr", {"p": 2, "trim": 0.15}),
-], ids=["adf", "qlr"])
+    ("adf", {"deterministic": "drift", "lags": "auto"}),
+    ("egadf", {"n_regressors": 2}),
+], ids=["adf", "qlr", "adf_auto", "egadf"])
 def test_run_is_independent_of_scheduling(statistic, params):
     kwargs = dict(statistic=statistic, params=params, T_sim=60, reps=1_200, seed=5)
     a = mc_critical_values(**kwargs, chunk_size=1_200)
@@ -45,6 +47,22 @@ def test_run_is_independent_of_scheduling(statistic, params):
     c = mc_critical_values(**kwargs, workers=2, chunk_size=300)
     assert a.quantiles == b.quantiles == c.quantiles
     assert a.summary == b.summary == c.summary
+
+
+@pytest.mark.parametrize("template", [RandomWalk(), WhiteNoise(),
+                                      RandomWalk(drift=0.3, y0=-2.0, sigma2=2.5)],
+                         ids=["walk", "noise", "drifting_walk"])
+@pytest.mark.parametrize("T", [25, 60, 500])
+@pytest.mark.parametrize("columns", [1, 3])
+def test_null_paths_are_each_replications_sample_values(template, T, columns):
+    # one block, yet row i is replication start + i drawn alone, column by column
+    start, stop = 17, 29
+    paths = _null_paths(template, T, 8, start, stop, columns)
+    assert paths.shape == (stop - start, T, columns)
+    for i in range(stop - start):
+        rng = rng_for(8, start + i)
+        for c in range(columns):
+            assert np.array_equal(paths[i, :, c], sample_values(template, T, rng))
 
 
 def test_several_workers_never_run_as_one_chunk():
