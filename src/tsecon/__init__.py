@@ -4,148 +4,63 @@ Covers autoregressive and vector autoregressive modeling, information
 criterion lag selection, unit-root and structural-break testing, Granger
 causality, cointegration (residual-based test and dynamic OLS), and a Monte
 Carlo engine that derives critical values and checks test size and power.
+
+Importing the package loads none of its modules: each exported name, and
+each submodule, is imported on first access (PEP 562), so a one-shot command
+pays only for the modules it uses.
 """
+
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-from .armodel import (
-    Ar1Moments,
-    ArFit,
-    ForecastResult,
-    LagPolynomial,
-    MaMoments,
-    RootCheck,
-    ar1_moments,
-    fit_ar,
-    forecast_ar,
-    is_stationary,
-    ma_moments,
-    pseudo_out_of_sample_rmsfe,
-)
-from .breaks import chow_f_scan, chow_test, qlr_test, qlr_window
-from .cointegration import (
-    EG_ADF_CRITICAL_VALUES,
-    CointFit,
-    DolsFit,
-    IntegrationReport,
-    dols,
-    eg_adf_test,
-    integration_order,
-)
-from .cvcache import CriticalValueCache, CvEntry, default_cache
-from .dgp import (
-    ArmaProcess,
-    ArProcess,
-    CointegratedPair,
-    InterceptBreakAr,
-    MaProcess,
-    RandomWalk,
-    VarProcess,
-    WhiteNoise,
-    companion_matrix,
-    rng_for,
-    sample_values,
-    simulate,
-)
-from .errors import CollinearityError, DomainError
-from .lagselect import CriterionTable, select_ar_order, select_var_order
-from .montecarlo import McRun, SizePower, mc_critical_values, size_power_suite
-from .ols import (
-    Design,
-    DesignSpec,
-    FTest,
-    OlsFit,
-    build_design,
-    f_statistic,
-    fit_design,
-    solve_ols,
-)
-from .report import DEFAULT_LEVELS, TestReport
-from .series import SampleMoments, TimeSeries, difference, lag, sample_moments
-from .unitroot import AdfSpec, adf_test
-from .varmodel import (
-    StabilityReport,
-    VarFit,
-    fit_var,
-    forecast_var,
-    granger_test,
-    stability,
-    var_autocovariances,
-    var_mean,
-)
+# Each exported name, by the module that owns it.
+_EXPORTS = {
+    "armodel": (
+        "Ar1Moments", "ArFit", "ForecastResult", "LagPolynomial", "MaMoments", "RootCheck",
+        "ar1_moments", "fit_ar", "forecast_ar", "is_stationary", "ma_moments",
+        "pseudo_out_of_sample_rmsfe",
+    ),
+    "breaks": ("chow_f_scan", "chow_test", "qlr_test", "qlr_window"),
+    "cointegration": (
+        "EG_ADF_CRITICAL_VALUES", "CointFit", "DolsFit", "IntegrationReport", "dols",
+        "eg_adf_test", "integration_order",
+    ),
+    "cvcache": ("CriticalValueCache", "CvEntry", "default_cache"),
+    "dgp": (
+        "ArmaProcess", "ArProcess", "CointegratedPair", "InterceptBreakAr", "MaProcess",
+        "RandomWalk", "VarProcess", "WhiteNoise", "companion_matrix", "rng_for",
+        "sample_values", "simulate",
+    ),
+    "errors": ("CollinearityError", "DomainError"),
+    "lagselect": ("CriterionTable", "select_ar_order", "select_var_order"),
+    "montecarlo": ("McRun", "SizePower", "mc_critical_values", "size_power_suite"),
+    "ols": (
+        "Design", "DesignSpec", "FTest", "OlsFit", "build_design", "f_statistic",
+        "fit_design", "solve_ols",
+    ),
+    "report": ("DEFAULT_LEVELS", "TestReport"),
+    "series": ("SampleMoments", "TimeSeries", "difference", "lag", "sample_moments"),
+    "unitroot": ("AdfSpec", "adf_test"),
+    "varmodel": (
+        "StabilityReport", "VarFit", "fit_var", "forecast_var", "granger_test", "stability",
+        "var_autocovariances", "var_mean",
+    ),
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "__version__",
-    "Ar1Moments",
-    "ArFit",
-    "ArProcess",
-    "ArmaProcess",
-    "AdfSpec",
-    "CointFit",
-    "CointegratedPair",
-    "CollinearityError",
-    "CriterionTable",
-    "CriticalValueCache",
-    "CvEntry",
-    "DEFAULT_LEVELS",
-    "Design",
-    "DesignSpec",
-    "DolsFit",
-    "DomainError",
-    "EG_ADF_CRITICAL_VALUES",
-    "FTest",
-    "ForecastResult",
-    "IntegrationReport",
-    "InterceptBreakAr",
-    "LagPolynomial",
-    "MaMoments",
-    "MaProcess",
-    "McRun",
-    "OlsFit",
-    "RandomWalk",
-    "RootCheck",
-    "SampleMoments",
-    "SizePower",
-    "StabilityReport",
-    "TestReport",
-    "TimeSeries",
-    "VarFit",
-    "VarProcess",
-    "WhiteNoise",
-    "adf_test",
-    "ar1_moments",
-    "build_design",
-    "chow_f_scan",
-    "chow_test",
-    "companion_matrix",
-    "default_cache",
-    "difference",
-    "dols",
-    "eg_adf_test",
-    "f_statistic",
-    "fit_ar",
-    "fit_design",
-    "fit_var",
-    "forecast_ar",
-    "forecast_var",
-    "granger_test",
-    "integration_order",
-    "is_stationary",
-    "lag",
-    "ma_moments",
-    "mc_critical_values",
-    "pseudo_out_of_sample_rmsfe",
-    "qlr_test",
-    "qlr_window",
-    "rng_for",
-    "sample_moments",
-    "sample_values",
-    "select_ar_order",
-    "select_var_order",
-    "simulate",
-    "size_power_suite",
-    "solve_ols",
-    "stability",
-    "var_autocovariances",
-    "var_mean",
-]
+__all__ = ["__version__", *_OWNER]
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:  # a submodule; importing it binds it here
+        return _import_module(f"{__name__}.{name}")
+    if name not in _OWNER:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_import_module(f"{__name__}.{_OWNER[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

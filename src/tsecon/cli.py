@@ -19,32 +19,54 @@ import math
 import secrets
 import sys
 from dataclasses import dataclass
+from importlib import import_module
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .armodel import fit_ar, forecast_ar, is_stationary
-from .breaks import chow_f_scan, chow_test, qlr_test, qlr_window
-from .cointegration import dols, eg_adf_test, integration_order
-from .cvcache import CriticalValueCache
-from .dgp import (
-    ArmaProcess,
-    ArProcess,
-    CointegratedPair,
-    InterceptBreakAr,
-    MaProcess,
-    RandomWalk,
-    VarProcess,
-    WhiteNoise,
-    simulate,
-)
 from .errors import DomainError
-from .lagselect import select_ar_order, select_var_order
-from .montecarlo import _SIMULATED, _STATISTICS, mc_critical_values
 from .series import TimeSeries, sample_moments
-from .unitroot import AdfSpec, adf_test
-from .varmodel import fit_var, forecast_var, granger_test, stability
+
+
+def _on_first_call(module: str, name: str):
+    """A stand-in for `module.name` that imports the module when first called.
+
+    A one-shot command then imports only the library modules its handler
+    runs, while every library function the handlers call stays a rebindable
+    attribute of this module.
+    """
+
+    def call(*args, **kwargs):
+        return getattr(import_module(f".{module}", __package__), name)(*args, **kwargs)
+
+    call.__name__ = call.__qualname__ = name
+    return call
+
+
+fit_ar = _on_first_call("armodel", "fit_ar")
+forecast_ar = _on_first_call("armodel", "forecast_ar")
+is_stationary = _on_first_call("armodel", "is_stationary")
+chow_f_scan = _on_first_call("breaks", "chow_f_scan")
+chow_test = _on_first_call("breaks", "chow_test")
+qlr_test = _on_first_call("breaks", "qlr_test")
+qlr_window = _on_first_call("breaks", "qlr_window")
+dols = _on_first_call("cointegration", "dols")
+eg_adf_test = _on_first_call("cointegration", "eg_adf_test")
+integration_order = _on_first_call("cointegration", "integration_order")
+simulate = _on_first_call("dgp", "simulate")
+select_ar_order = _on_first_call("lagselect", "select_ar_order")
+select_var_order = _on_first_call("lagselect", "select_var_order")
+mc_critical_values = _on_first_call("montecarlo", "mc_critical_values")
+adf_test = _on_first_call("unitroot", "adf_test")
+fit_var = _on_first_call("varmodel", "fit_var")
+forecast_var = _on_first_call("varmodel", "forecast_var")
+granger_test = _on_first_call("varmodel", "granger_test")
+stability = _on_first_call("varmodel", "stability")
+
+# The statistics mc-critical can simulate: montecarlo._SIMULATED, named here so
+# that building the parser does not import the Monte Carlo engine.
+_SIMULATED = ("adf", "qlr", "egadf")
 
 REPORT_FORMAT_VERSION = 1
 
@@ -229,11 +251,18 @@ def _envelope(command: str, argv, result: dict, dataset: Dataset | None = None,
     return report
 
 
+def _cannot_write(path, exc: OSError) -> DomainError:
+    return DomainError(f"cannot write {path}: {exc}")
+
+
 def _write_csv(path, header, rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+    try:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+    except OSError as exc:
+        raise _cannot_write(path, exc) from None
 
 
 def _ols_block(fit) -> dict:
@@ -334,6 +363,8 @@ def _cmd_forecast(args, ds):
 
 
 def _cmd_adf(args, ds):
+    from .unitroot import AdfSpec
+
     series = _pick_single(ds, args.col)
     report = adf_test(series, AdfSpec(lags=args.lags, deterministic=args.det),
                       cv_source=args.cv_file)
@@ -411,6 +442,8 @@ def _cmd_granger(args, ds):
 
 
 def _cmd_integration_order(args, ds):
+    from .unitroot import AdfSpec
+
     series = _pick_single(ds, args.col)
     out = integration_order(
         series,
@@ -475,6 +508,9 @@ def _parse_matrix_list(raw: str, flag: str):
 
 
 def _build_sim_spec(args, seed: int):
+    from .dgp import (ArmaProcess, ArProcess, CointegratedPair, InterceptBreakAr, MaProcess,
+                      RandomWalk, VarProcess, WhiteNoise)
+
     kind = args.kind
     if kind == "white-noise":
         return WhiteNoise(sigma2=args.sigma2, seed=seed)
@@ -552,21 +588,27 @@ def _cmd_simulate(args, ds):
 
 
 def _cmd_mc_critical(args, ds):
+    from .cvcache import CriticalValueCache
+    from .montecarlo import _STATISTICS
+
     seed = args.seed if args.seed is not None else secrets.randbits(63)
     params = {name: getattr(args, dest) for dest, name in _STATISTICS[args.statistic].flags}
+    # an existing file is read before the run, so a bad one fails at once
+    path = Path(args.out) if args.out else None
+    cache = CriticalValueCache.load(str(path)) if path and path.exists() else None
     run = mc_critical_values(
         args.statistic, params, T_sim=args.T_sim, reps=args.reps, seed=seed,
         levels=_parse_floats(args.levels, "--levels"), workers=args.workers,
     )
     written = None
-    if args.out:
-        path = Path(args.out)
-        if path.exists():
-            cache = CriticalValueCache.load(str(path))
-        else:
+    if path:
+        if cache is None:
             cache = CriticalValueCache(entries=[], generator=run.generator)
         cache.put(run.to_entry())
-        cache.save(str(path))
+        try:
+            cache.save(str(path))
+        except OSError as exc:
+            raise _cannot_write(path, exc) from None
         written = str(path)
     result = {
         "statistic": run.statistic,

@@ -122,14 +122,24 @@ class CriticalValueCache:
                 payload = json.load(fh)
         except FileNotFoundError:
             raise DomainError(f"critical-value file {path!r} does not exist") from None
-        except json.JSONDecodeError as exc:
+        except OSError as exc:
+            raise DomainError(f"cannot read critical-value file {path!r}: {exc}") from None
+        except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
             raise DomainError(f"critical-value file {path!r} is not valid JSON: {exc}") from None
+        if not isinstance(payload, dict):
+            raise DomainError(f"critical-value file {path!r} does not hold a JSON object")
         version = payload.get("format_version")
         if version != FORMAT_VERSION:
             raise DomainError(
                 f"critical-value file {path!r} has format version {version}, expected {FORMAT_VERSION}"
             )
-        entries = [CvEntry.from_dict(d) for d in payload.get("entries", [])]
+        try:
+            entries = [CvEntry.from_dict(d) for d in payload.get("entries", [])]
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise DomainError(
+                f"critical-value file {path!r} has a malformed entry: "
+                f"{type(exc).__name__}: {exc}"
+            ) from None
         return cls(entries, generator=payload.get("generator"), path=path)
 
 

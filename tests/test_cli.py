@@ -116,6 +116,76 @@ def test_import_loads_no_scipy_and_no_process_pool():
     assert proc.stdout.strip() == "[]"
 
 
+def _fresh_process(code, *argv):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-c", code, *map(str, argv)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+_LOADED = "print(*sorted(m for m in sys.modules if m.startswith('tsecon.')))"
+
+
+def test_import_tsecon_loads_no_submodule():
+    assert _fresh_process(f"import sys, tsecon; {_LOADED}").split() == []
+
+
+@pytest.mark.parametrize("argv", [("adf",), ("describe",),
+                                  ("fit-ar", "--p", "2")], ids=lambda a: a[0])
+def test_single_series_commands_import_only_what_they_run(argv, data):
+    code = ("import contextlib, io, sys, tsecon.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert tsecon.cli.main(sys.argv[1:]) == 0\n"
+            + _LOADED)
+    loaded = set(_fresh_process(code, argv[0], data["rw"], *argv[1:]).split())
+    assert f"tsecon.{'unitroot' if argv[0] == 'adf' else 'series'}" in loaded
+    unused = {f"tsecon.{m}" for m in ("montecarlo", "dgp", "breaks", "varmodel", "cointegration")}
+    assert not loaded & unused
+
+
+# The public names of the package; the lazy exports must keep every one.
+PUBLIC = set("""
+    AdfSpec Ar1Moments ArFit ArProcess ArmaProcess CointFit CointegratedPair CollinearityError
+    CriterionTable CriticalValueCache CvEntry DEFAULT_LEVELS Design DesignSpec DolsFit
+    DomainError EG_ADF_CRITICAL_VALUES FTest ForecastResult IntegrationReport InterceptBreakAr
+    LagPolynomial MaMoments MaProcess McRun OlsFit RandomWalk RootCheck SampleMoments SizePower
+    StabilityReport TestReport TimeSeries VarFit VarProcess WhiteNoise __version__ adf_test
+    ar1_moments build_design chow_f_scan chow_test companion_matrix default_cache difference
+    dols eg_adf_test f_statistic fit_ar fit_design fit_var forecast_ar forecast_var
+    granger_test integration_order is_stationary lag ma_moments mc_critical_values
+    pseudo_out_of_sample_rmsfe qlr_test qlr_window rng_for sample_moments sample_values
+    select_ar_order select_var_order simulate size_power_suite solve_ols stability
+    var_autocovariances var_mean
+""".split())
+
+
+def test_package_exports_resolve_to_their_modules():
+    import importlib
+
+    assert set(tsecon.__all__) == PUBLIC
+    assert len(tsecon.__all__) == len(PUBLIC)
+    for name in PUBLIC - {"__version__"}:
+        owner = importlib.import_module(f"tsecon.{tsecon._OWNER[name]}")
+        assert getattr(tsecon, name) is getattr(owner, name), name
+    assert PUBLIC <= set(dir(tsecon))
+    star: dict = {}
+    exec("from tsecon import *", star)
+    assert PUBLIC <= set(star)
+    assert star["adf_test"] is tsecon.unitroot.adf_test
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        tsecon.no_such_name  # noqa: B018
+
+
+def test_submodules_resolve_after_a_plain_import():
+    code = ("import sys, tsecon; "
+            "print(tsecon.ols.solve_ols is sys.modules['tsecon.ols'].solve_ols, "
+            "tsecon.montecarlo.__name__)")
+    assert _fresh_process(code).split() == ["True", "tsecon.montecarlo"]
+
+
 def test_select_lag_cols_with_one_name(data):
     # one name in --cols, however spelled, is the scalar selection of --col
     expected = run_report("select-lag", data["var"], "--col", "y1", "--p-max", "4")["result"]
@@ -379,6 +449,86 @@ def test_cv_file_flag_and_environment(data, tmp_path, monkeypatch):
         flagged["result"]["report"]["statistic"]
     assert via_env["result"]["report"]["critical_values"] == \
         flagged["result"]["report"]["critical_values"]
+
+
+_GOOD_ENTRY = {"statistic": "adf", "params": {"deterministic": "drift", "lags": "auto"},
+               "tail": "left", "quantiles": {"0.05": -2.9}, "provenance": {}}
+MALFORMED_CV_FILES = {
+    "directory": None,
+    "not_utf8": b"\xff\xfe",
+    "json_array": [1, 2],
+    "entries_not_a_list": {"format_version": 1, "entries": 3},
+    "entry_without_params": {"format_version": 1, "entries": [
+        {k: v for k, v in _GOOD_ENTRY.items() if k != "params"}]},
+    "quantile_not_a_number": {"format_version": 1, "entries": [
+        {**_GOOD_ENTRY, "quantiles": {"0.05": "abc"}}]},
+    "quantiles_a_list": {"format_version": 1, "entries": [{**_GOOD_ENTRY, "quantiles": [1]}]},
+}
+
+
+def _malformed_cv_file(kind, tmp_path):
+    path = tmp_path / f"{kind}.json"
+    content = MALFORMED_CV_FILES[kind]
+    if content is None:
+        path.mkdir()
+    elif isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(json.dumps(content))
+    return path
+
+
+@pytest.mark.parametrize("kind", MALFORMED_CV_FILES)
+def test_malformed_cv_file_is_a_domain_error(kind, data, tmp_path, monkeypatch):
+    from tsecon import DomainError, adf_test
+    from tsecon.cli import ingest_csv
+
+    path = _malformed_cv_file(kind, tmp_path)
+    code, out, err = run_cli("adf", data["rw"], "--cv-file", path)
+    assert (code, out) == (1, "")
+    assert repr(str(path)) in err
+    series = ingest_csv(data["rw"]).columns["y"]
+    with pytest.raises(DomainError, match="critical-value file"):
+        adf_test(series, cv_source=str(path))
+    monkeypatch.setenv("TSECON_CV_FILE", str(path))
+    assert run_cli("adf", data["rw"])[:2] == (1, "")
+
+
+@pytest.mark.parametrize("argv", [
+    ("describe", "ar"), ("forecast", "ar", "--p", "1", "--horizon", "3"),
+    ("qlr", "ar", "--p", "1"), ("forecast-var", "var", "--p", "1", "--horizon", "3"),
+], ids=lambda a: a[0])
+def test_unwritable_emit_csv_is_a_domain_error(argv, data, tmp_path):
+    target = tmp_path / "missing" / "out.csv"
+    code, out, err = run_cli(argv[0], data[argv[1]], *argv[2:], "--emit-csv", target)
+    assert (code, out) == (1, "")
+    assert f"cannot write {target}" in err
+
+
+def test_unwritable_out_is_a_domain_error(tmp_path):
+    target = tmp_path / "missing" / "out"
+    code, out, err = run_cli("simulate", "--kind", "white-noise", "--T", "20", "--seed", "1",
+                             "--out", target)
+    assert (code, out) == (1, "")
+    assert f"cannot write {target}" in err
+    code, out, err = run_cli("mc-critical", "--statistic", "qlr", "--T-sim", "50",
+                             "--reps", "1000", "--seed", "1", "--out", target)
+    assert (code, out) == (1, "")
+    assert f"cannot write {target}" in err
+
+
+@pytest.mark.parametrize("kind", ["directory", "entry_without_params"])
+def test_mc_critical_reads_its_out_file_before_simulating(kind, tmp_path, monkeypatch):
+    import tsecon.cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("simulated before reading --out")
+
+    monkeypatch.setattr(tsecon.cli, "mc_critical_values", refuse)
+    path = _malformed_cv_file(kind, tmp_path)
+    code, out, err = run_cli("mc-critical", "--statistic", "adf", "--out", path)
+    assert (code, out) == (1, "")
+    assert repr(str(path)) in err
 
 
 def test_mc_critical_out_merges_entries(tmp_path):
