@@ -29,8 +29,7 @@ _EXPORTS = {
     "cvcache": ("CriticalValueCache", "CvEntry", "default_cache"),
     "dgp": (
         "ArmaProcess", "ArProcess", "CointegratedPair", "InterceptBreakAr", "MaProcess",
-        "RandomWalk", "VarProcess", "WhiteNoise", "companion_matrix", "rng_for",
-        "sample_values", "simulate",
+        "RandomWalk", "VarProcess", "WhiteNoise", "rng_for", "sample_values", "simulate",
     ),
     "errors": ("CollinearityError", "DomainError"),
     "lagselect": ("CriterionTable", "select_ar_order", "select_var_order"),
@@ -43,8 +42,8 @@ _EXPORTS = {
     "series": ("SampleMoments", "TimeSeries", "difference", "lag", "sample_moments"),
     "unitroot": ("AdfSpec", "adf_test"),
     "varmodel": (
-        "StabilityReport", "VarFit", "fit_var", "forecast_var", "granger_test", "stability",
-        "var_autocovariances", "var_mean",
+        "StabilityReport", "VarFit", "companion_matrix", "fit_var", "forecast_var",
+        "granger_test", "stability", "var_autocovariances", "var_mean",
     ),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}

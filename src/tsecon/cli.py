@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
 import math
 import secrets
@@ -78,27 +79,35 @@ _INDEX_NAMES = {"", "index", "t", "time", "date", "obs"}
 
 @dataclass(frozen=True)
 class Dataset:
-    """Named numeric columns plus a record of what ingestion did."""
+    """Named numeric columns, the SHA-256 of the file read and what ingestion did."""
 
     columns: dict
     source: str
     parse_report: dict
+    sha256: str
 
 
 def ingest_csv(path, decimal_comma: bool = False) -> Dataset:
-    """Read a headered CSV into named TimeSeries columns.
+    """Read a headered UTF-8 CSV into named TimeSeries columns.
 
-    A leading index-like column (named index/t/time/date/obs or unnamed) is
+    The bytes are read once and give the columns and their SHA-256.  A byte
+    order mark is dropped; a byte that is not UTF-8 is a DomainError.  A
+    leading index-like column (named index/t/time/date/obs or unnamed) is
     ignored.  Columns containing non-numeric text are dropped with a note;
     blank cells in an otherwise numeric column are a hard error listing the
     offending lines.  With decimal_comma, cells are semicolon-delimited and
     "3,14" parses as 3.14.
     """
     try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            rows = list(csv.reader(fh, delimiter=";" if decimal_comma else ","))
+        blob = Path(path).read_bytes()
     except OSError as exc:
         raise DomainError(f"cannot read {path}: {exc}") from None
+    try:
+        text = blob.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        at = len(blob) - len(exc.object) + exc.start  # counting a byte order mark
+        raise DomainError(f"{path} is not UTF-8: byte 0x{blob[at]:02x} at offset {at}") from None
+    rows = list(csv.reader(io.StringIO(text, newline=""), delimiter=";" if decimal_comma else ","))
     if not rows:
         raise DomainError(f"{path} is empty")
     header, *body = rows
@@ -164,6 +173,7 @@ def ingest_csv(path, decimal_comma: bool = False) -> Dataset:
             "notes": notes,
             "n_rows": len(body),
         },
+        sha256=hashlib.sha256(blob).hexdigest(),
     )
 
 
@@ -226,10 +236,6 @@ def _jsonable(obj):
     raise TypeError(f"not JSON serializable: {type(obj)!r}")
 
 
-def _sha256_of(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
 def _envelope(command: str, argv, result: dict, dataset: Dataset | None = None,
               used=None, seed=None) -> dict:
     report = {
@@ -244,7 +250,7 @@ def _envelope(command: str, argv, result: dict, dataset: Dataset | None = None,
     if dataset is not None:
         report["input"] = {
             "path": dataset.source,
-            "sha256": _sha256_of(dataset.source),
+            "sha256": dataset.sha256,
             "columns_used": list(used or []),
             "parse": dataset.parse_report,
         }
@@ -581,7 +587,7 @@ def _cmd_simulate(args, ds):
         "T": int(args.T),
         "columns": names,
         "out": args.out,
-        "out_sha256": _sha256_of(args.out),
+        "out_sha256": hashlib.sha256(Path(args.out).read_bytes()).hexdigest(),
         "spec": json.loads(json.dumps(spec_echo, default=_jsonable)),
     }
     return result, None, seed

@@ -23,6 +23,7 @@ import numpy as np
 from .armodel import LagPolynomial, is_stationary
 from .errors import DomainError
 from .series import TimeSeries
+from .varmodel import companion_matrix, stability  # noqa: F401  companion_matrix re-exported
 
 __all__ = [
     "WhiteNoise",
@@ -192,7 +193,7 @@ class VarProcess:
             np.linalg.cholesky(cov)
         except np.linalg.LinAlgError:
             raise DomainError("innovation covariance must be positive definite") from None
-        if mats and np.max(np.abs(np.linalg.eigvals(companion_matrix(mats)))) >= 1.0 - 1e-8:
+        if mats and not stability(mats).stable:
             raise DomainError("VAR parameters are not stable")
         names = self.names
         if names is None:
@@ -211,23 +212,6 @@ class VarProcess:
     @property
     def p(self) -> int:
         return len(self.coeff_matrices)
-
-
-def companion_matrix(coeff_matrices) -> np.ndarray:
-    """Stacked VAR(1) form of a VAR(p): top block row holds A_1..A_p."""
-    mats = [np.asarray(a, dtype=float) for a in coeff_matrices]
-    if not mats:
-        raise DomainError("companion form needs at least one coefficient matrix")
-    k = mats[0].shape[0]
-    for a in mats:
-        if a.shape != (k, k):
-            raise DomainError("coefficient matrices must all be square with equal size")
-    p = len(mats)
-    F = np.zeros((k * p, k * p))
-    F[:k, :] = np.hstack(mats)
-    if p > 1:
-        F[k:, : k * (p - 1)] = np.eye(k * (p - 1))
-    return F
 
 
 @dataclass(frozen=True)

@@ -434,9 +434,10 @@ def solve_ols(X: np.ndarray, y: np.ndarray, column_names: Sequence[str] | None =
     gives one :class:`OlsFit`.  Y of shape (n, m) gives a tuple of m fits, one
     per column, from one factorisation with one rank check; fit j carries
     QrFit(r, C[:, j], rho_j, n).
-    Raises :class:`CollinearityError` naming the offending columns when X is
-    rank deficient (singular values of the triangular factor below
-    max(m, n) * eps * sigma_max).
+    Raises :class:`CollinearityError` when r, each column divided by its norm
+    so that the units of X do not matter, has a singular value at or below
+    max(m, k) * eps * sigma_max.  It names the k - rank columns that weigh
+    most in the null-space right singular vectors, in column order.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -454,17 +455,16 @@ def solve_ols(X: np.ndarray, y: np.ndarray, column_names: Sequence[str] | None =
 
     qr = qr_lstsq(X, y)
     r = qr.r.reshape(k, k)
-    s = np.linalg.svd(r, compute_uv=False)  # X and r share singular values
+    norms = np.hypot.reduce(r, axis=0)  # X's column norms: Q is orthogonal
+    scaled = r / np.where(norms > 0.0, norms, 1.0)  # a zero column stays deficient
+    s = np.linalg.svd(scaled, compute_uv=False)
     tol = max(m, k) * np.finfo(float).eps * s[0]
     if s[-1] <= tol:  # s is sorted in decreasing order
         rank = int(np.sum(s > tol))
-        # pivoted QR orders columns by explanatory contribution; the ones
-        # past the numerical rank are the redundant set worth reporting
-        from scipy.linalg import qr as _qr
-
-        _, _, piv = _qr(X, mode="economic", pivoting=True)
-        offenders = [column_names[i] for i in sorted(piv[rank:])]
-        raise CollinearityError(offenders)
+        # weights that tie up to rounding name the later column, the duplicate
+        weight = np.round(np.sum(np.linalg.svd(scaled)[2][rank:] ** 2, axis=0), 12)
+        offenders = np.sort(np.lexsort((-np.arange(k), -weight))[: k - rank])
+        raise CollinearityError([column_names[i] for i in offenders])
 
     # one row per response
     beta, stderrs = qr.solve()
@@ -507,13 +507,13 @@ def fit_design(spec: DesignSpec, data: Mapping[str, TimeSeries]) -> tuple[OlsFit
 
 
 def exact_fit(ssr, n_obs: int, y: np.ndarray):
-    """Whether a regression fits exactly: sqrt(SSR/n) <= 1e-10 max(1, max|y|).
+    """Whether a regression fits exactly: sqrt(SSR/n) <= 1e-10 max|y|.
 
-    `ssr` is one SSR with `y` its (n,) regressand, or an (R,) stack of them
-    with y (R, n).
+    Relative to y alone, so the verdict does not depend on its units; an
+    all-zero y fits exactly.  `ssr` is one SSR with `y` its (n,) regressand,
+    or an (R,) stack of them with y (R, n).
     """
-    scale = np.maximum(1.0, np.max(np.abs(y), axis=-1))
-    return np.sqrt(ssr / n_obs) <= 1e-10 * scale
+    return np.sqrt(ssr / n_obs) <= 1e-10 * np.max(np.abs(y), axis=-1)
 
 
 def exclusion_f_test(fit: OlsFit, q: int) -> FTest:

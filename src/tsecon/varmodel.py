@@ -16,7 +16,6 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .armodel import ForecastResult, iterate_linear_forecast
-from .dgp import companion_matrix
 from .errors import DomainError
 from .ols import OlsFit, common_length, exclusion_f_test, lag_design, solve_ols
 from .report import DEFAULT_LEVELS, TestReport, make_test_report
@@ -47,6 +46,23 @@ class StabilityReport:
     @property
     def has_unit_root(self) -> bool:
         return any(abs(m - 1.0) <= STABILITY_TOL for m in self.root_moduli)
+
+
+def companion_matrix(coeff_matrices) -> np.ndarray:
+    """Stacked VAR(1) form of a VAR(p): top block row holds A_1..A_p."""
+    mats = [np.asarray(a, dtype=float) for a in coeff_matrices]
+    if not mats:
+        raise DomainError("companion form needs at least one coefficient matrix")
+    k = mats[0].shape[0]
+    for a in mats:
+        if a.shape != (k, k):
+            raise DomainError("coefficient matrices must all be square with equal size")
+    p = len(mats)
+    F = np.zeros((k * p, k * p))
+    F[:k, :] = np.hstack(mats)
+    if p > 1:
+        F[k:, : k * (p - 1)] = np.eye(k * (p - 1))
+    return F
 
 
 def _stability_from_matrices(coeff_matrices) -> StabilityReport:

@@ -146,6 +146,34 @@ def test_single_series_commands_import_only_what_they_run(argv, data):
     assert not loaded & unused
 
 
+@pytest.mark.parametrize("argv", [
+    ("fit-var", "--p", "1"),
+    ("forecast-var", "--p", "1", "--horizon", "3"),
+    ("granger", "--cause", "y2", "--effect", "y1", "--p", "1"),
+], ids=lambda a: a[0])
+def test_var_commands_load_no_simulator(argv, data):
+    # varmodel owns the companion form, so a VAR command leaves dgp unloaded
+    code = ("import contextlib, io, sys, tsecon.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert tsecon.cli.main(sys.argv[1:]) == 0\n"
+            + _LOADED)
+    loaded = set(_fresh_process(code, argv[0], data["var"], *argv[1:]).split())
+    assert "tsecon.varmodel" in loaded
+    assert "tsecon.dgp" not in loaded
+
+
+def test_collinear_fit_ar_loads_no_scipy(tmp_path):
+    # the rank test and the names of the offending columns need numpy alone
+    path = tmp_path / "flat.csv"
+    path.write_text("t,c\n" + "".join(f"{t},5\n" for t in range(40)))
+    code = ("import contextlib, io, sys, tsecon.cli\n"
+            "with contextlib.redirect_stderr(io.StringIO()) as err:\n"
+            "    assert tsecon.cli.main(sys.argv[1:]) == 1\n"
+            "assert err.getvalue().startswith('perfect multicollinearity'), err.getvalue()\n"
+            "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert _fresh_process(code, "fit-ar", path, "--p", "1").split() == []
+
+
 # The public names of the package; the lazy exports must keep every one.
 PUBLIC = set("""
     AdfSpec Ar1Moments ArFit ArProcess ArmaProcess CointFit CointegratedPair CollinearityError
@@ -204,6 +232,18 @@ def test_envelope_input_block(data):
     assert report["input"]["columns_used"] == ["y"]
     assert report["input"]["parse"]["index_column"] == "t"
     assert report["argv"][0] == "describe"
+
+
+def test_envelope_fingerprints_the_input_it_read(data, tmp_path):
+    # --emit-csv may write over the input; the report fingerprints what was analysed
+    import hashlib
+
+    path = tmp_path / "ar.csv"
+    path.write_bytes(data["ar"].read_bytes())
+    before = hashlib.sha256(path.read_bytes()).hexdigest()
+    report = run_report("describe", path, "--max-lag", "2", "--emit-csv", path)
+    assert report["input"]["sha256"] == before
+    assert path.read_text().startswith("lag,autocovariance,autocorrelation")
 
 
 def test_report_rerun_byte_identical(data):
@@ -387,6 +427,29 @@ def test_ingest_decimal_comma(tmp_path):
     report = run_report("describe", f, "--decimal-comma", "--max-lag", "1")
     expected = (3.14 + 2.0 + 1.5 + 0.25) / 4
     assert report["result"]["mean"] == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize("blob, flags, where", [
+    (b"valore\xe8,x\n1,2\n3,4\n", (), "byte 0xe8 at offset 6"),
+    (b"\xef\xbb\xbft;y\r\n1;3,14\r\n2;2\xe8\r\n", ("--decimal-comma",),
+     "byte 0xe8 at offset 19"),
+], ids=["header", "bom-crlf-cell"])
+def test_ingest_rejects_bytes_that_are_not_utf8(tmp_path, blob, flags, where):
+    # a Latin-1 export fails with a message, not a traceback
+    path = tmp_path / "latin.csv"
+    path.write_bytes(blob)
+    code, out, err = run_cli("describe", path, *flags)
+    assert (code, out) == (1, "")
+    assert err == f"{path} is not UTF-8: {where}\n"
+
+
+def test_ingest_bom_and_crlf_parse_as_plain_utf8(tmp_path):
+    plain = _write(tmp_path / "plain.csv", "t,y\n0,1.5\n1,2.5\n2,4.0\n3,3.5\n")
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes().replace(b"\n", b"\r\n"))
+    a, b = run_report("describe", plain), run_report("describe", marked)
+    assert a["result"] == b["result"]
+    assert a["input"]["parse"] == b["input"]["parse"]
 
 
 def test_ingest_rejects_ragged_rows(tmp_path):

@@ -13,6 +13,7 @@ from tsecon import (
 )
 from tsecon.ols import (
     ar_prefix_cross_products,
+    exact_fit,
     exclusion_f_test,
     lag_design,
     normal_equations_ssr,
@@ -96,6 +97,15 @@ def test_exact_fit_has_zero_ssr(rng):
     fit = solve_ols(X, y)
     assert fit.ssr < 1e-20
     assert np.max(np.abs(fit.residuals)) < 1e-10
+
+
+def test_exact_fit_is_relative_to_the_response():
+    # a response in tiny units is not an exact fit; an all-zero one is
+    y = 1e-12 * np.random.default_rng(0).standard_normal(50)
+    assert not exact_fit(1e-2 * float(y @ y), 50, y)
+    assert exact_fit(0.0, 50, np.zeros(50))
+    ys = np.stack([y, np.zeros(50)])
+    assert exact_fit(np.array([1e-2 * float(y @ y), 0.0]), 50, ys).tolist() == [False, True]
 
 
 def test_collinearity_error_names_columns(rng):
