@@ -19,7 +19,7 @@ import json
 import math
 import secrets
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import import_module
 from pathlib import Path
 
@@ -507,63 +507,63 @@ def _parse_floats(raw: str, flag: str) -> tuple:
 
 def _parse_matrix_list(raw: str, flag: str):
     try:
-        value = json.loads(raw)
+        return json.loads(raw)
     except json.JSONDecodeError as exc:
         raise DomainError(f"{flag} expects JSON, got {raw!r}: {exc}") from None
-    return value
+
+
+# Each --kind: the dgp class it builds and the flags it cannot do without.  Every
+# field of the class but the seed takes the flag of the same name.
+_SIM_KINDS = {
+    "white-noise": ("WhiteNoise", ()),
+    "ar": ("ArProcess", ("betas",)),
+    "ma": ("MaProcess", ("alphas",)),
+    "arma": ("ArmaProcess", ("betas", "alphas")),
+    "random-walk": ("RandomWalk", ()),
+    "random-walk-drift": ("RandomWalk", ()),
+    "var": ("VarProcess", ("delta", "a_matrices")),
+    "cointegrated-pair": ("CointegratedPair", ()),
+    "intercept-break-ar": ("InterceptBreakAr", ("betas",)),
+}
+
+# the flag of a field whose flag is not named after it
+_SIM_DESTS = {"coeff_matrices": "a_matrices"}
+
+# how a field reads its flag's text; argparse types the other flags
+_SIM_PARSERS = {
+    "betas": _parse_floats,
+    "alphas": _parse_floats,
+    "delta": _parse_floats,
+    "coeff_matrices": _parse_matrix_list,
+    "innovation_cov": _parse_matrix_list,
+    "names": _split_names,
+}
+
+
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
 
 
 def _build_sim_spec(args, seed: int):
-    from .dgp import (ArmaProcess, ArProcess, CointegratedPair, InterceptBreakAr, MaProcess,
-                      RandomWalk, VarProcess, WhiteNoise)
+    from . import dgp
 
-    kind = args.kind
-    if kind == "white-noise":
-        return WhiteNoise(sigma2=args.sigma2, seed=seed)
-    if kind == "ar":
-        if args.betas is None:
-            raise DomainError("--betas is required for kind ar")
-        return ArProcess(beta0=args.beta0, betas=_parse_floats(args.betas, "--betas"),
-                         sigma2=args.sigma2, burn_in=args.burn_in, seed=seed)
-    if kind == "ma":
-        if args.alphas is None:
-            raise DomainError("--alphas is required for kind ma")
-        return MaProcess(alpha0=args.alpha0, alphas=_parse_floats(args.alphas, "--alphas"),
-                         sigma2=args.sigma2, burn_in=args.burn_in, seed=seed)
-    if kind == "arma":
-        if args.betas is None or args.alphas is None:
-            raise DomainError("--betas and --alphas are required for kind arma")
-        return ArmaProcess(beta0=args.beta0, betas=_parse_floats(args.betas, "--betas"),
-                           alphas=_parse_floats(args.alphas, "--alphas"),
-                           sigma2=args.sigma2, burn_in=args.burn_in, seed=seed)
-    if kind in ("random-walk", "random-walk-drift"):
-        if kind == "random-walk-drift" and args.drift == 0.0:
-            raise DomainError("kind random-walk-drift requires a nonzero --drift")
-        return RandomWalk(drift=args.drift, y0=args.y0, sigma2=args.sigma2, seed=seed)
-    if kind == "cointegrated-pair":
-        return CointegratedPair(theta=args.theta, drift=args.drift,
-                                noise_ar=args.noise_ar, endogeneity=args.endogeneity,
-                                sigma2=args.sigma2, burn_in=args.burn_in, seed=seed)
-    if kind == "intercept-break-ar":
-        if args.betas is None:
-            raise DomainError("--betas is required for kind intercept-break-ar")
-        return InterceptBreakAr(beta0_pre=args.beta0_pre, beta0_post=args.beta0_post,
-                                break_frac=args.break_frac,
-                                betas=_parse_floats(args.betas, "--betas"),
-                                sigma2=args.sigma2, burn_in=args.burn_in, seed=seed)
-    if kind == "var":
-        if args.a_matrices is None or args.delta is None:
-            raise DomainError("--delta and --a-matrices are required for kind var")
-        delta = _parse_floats(args.delta, "--delta")
-        mats = _parse_matrix_list(args.a_matrices, "--a-matrices")
-        k = len(delta)
-        cov = (_parse_matrix_list(args.innovation_cov, "--innovation-cov")
-               if args.innovation_cov is not None else np.eye(k).tolist())
-        names = (tuple(_split_names(args.names, "--names")) if args.names is not None
-                 else tuple(f"y{i + 1}" for i in range(k)))
-        return VarProcess(delta=delta, coeff_matrices=tuple(mats), innovation_cov=cov,
-                          names=names, burn_in=args.burn_in, seed=seed)
-    raise DomainError(f"unknown kind {kind!r}")
+    cls_name, required = _SIM_KINDS[args.kind]
+    if any(getattr(args, dest) is None for dest in required):
+        verb = "is" if len(required) == 1 else "are"
+        flags = " and ".join(map(_flag, required))
+        raise DomainError(f"{flags} {verb} required for kind {args.kind}")
+    if args.kind == "random-walk-drift" and args.drift == 0.0:
+        raise DomainError("kind random-walk-drift requires a nonzero --drift")
+    cls = getattr(dgp, cls_name)
+    values = {}
+    for name in (f.name for f in fields(cls) if f.name != "seed"):
+        dest = _SIM_DESTS.get(name, name)
+        raw = getattr(args, dest)
+        parse = _SIM_PARSERS.get(name)
+        values[name] = parse(raw, _flag(dest)) if parse and raw is not None else raw
+    if "innovation_cov" in values and values["innovation_cov"] is None:
+        values["innovation_cov"] = np.eye(len(values["delta"])).tolist()
+    return cls(**values, seed=seed)
 
 
 def _cmd_simulate(args, ds):
@@ -577,11 +577,7 @@ def _cmd_simulate(args, ds):
         (t, *[float(out[nm].values[t]) for nm in names]) for t in range(args.T)
     ]
     _write_csv(args.out, ["t", *names], rows)
-    spec_echo = {
-        f.name: getattr(spec, f.name)
-        for f in spec.__dataclass_fields__.values()
-        if f.name != "seed"
-    }
+    spec_echo = {f.name: getattr(spec, f.name) for f in fields(spec) if f.name != "seed"}
     result = {
         "kind": args.kind,
         "T": int(args.T),
@@ -740,10 +736,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = _subcommand(sub, "simulate", _cmd_simulate,
                      "simulate a data-generating process to CSV", csv=False)
-    sp.add_argument("--kind", required=True,
-                    choices=("white-noise", "ar", "ma", "arma", "random-walk",
-                             "random-walk-drift", "var", "cointegrated-pair",
-                             "intercept-break-ar"))
+    sp.add_argument("--kind", required=True, choices=_SIM_KINDS)
     sp.add_argument("--T", type=int, required=True)
     sp.add_argument("--out", required=True, help="output CSV path")
     sp.add_argument("--seed", type=int, default=None)

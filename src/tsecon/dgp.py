@@ -85,27 +85,16 @@ class WhiteNoise:
 
 @dataclass(frozen=True)
 class ArProcess:
-    """Y_t = beta0 + sum_i betas[i-1] Y_{t-i} + u_t.
-
-    With ``y0`` given (one value per lag, most recent first) the recursion
-    starts deterministically from those values, they appear as the first
-    samples, and no burn-in is applied.
-    """
+    """Y_t = beta0 + sum_i betas[i-1] Y_{t-i} + u_t."""
 
     beta0: float = 0.0
     betas: tuple = (0.5,)
     sigma2: float = 1.0
-    y0: tuple | None = None
     burn_in: int | None = None
     seed: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "betas", tuple(float(b) for b in self.betas))
-        if self.y0 is not None:
-            y0 = tuple(float(v) for v in self.y0)
-            if len(y0) != len(self.betas):
-                raise DomainError("y0 must supply one starting value per lag")
-            object.__setattr__(self, "y0", y0)
         _check_sigma2(self.sigma2)
         _check_stable(self.betas)
 
@@ -133,18 +122,12 @@ class ArmaProcess:
     betas: tuple = ()
     alphas: tuple = ()
     sigma2: float = 1.0
-    y0: tuple | None = None
     burn_in: int | None = None
     seed: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "betas", tuple(float(b) for b in self.betas))
         object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
-        if self.y0 is not None:
-            y0 = tuple(float(v) for v in self.y0)
-            if len(y0) != len(self.betas):
-                raise DomainError("y0 must supply one starting value per lag")
-            object.__setattr__(self, "y0", y0)
         _check_sigma2(self.sigma2)
         _check_stable(self.betas)
 
@@ -301,27 +284,10 @@ def _lfilter(b, a, x: np.ndarray) -> np.ndarray:
     return np.array(y)
 
 
-def _arma_values(beta0, betas, alphas, sigma2, y0, burn_in, T, rng) -> np.ndarray:
+def _arma_values(beta0, betas, alphas, sigma2, burn_in, T, rng) -> np.ndarray:
     p, q = len(betas), len(alphas)
-    sd = np.sqrt(sigma2)
-    if y0 is not None:
-        # deterministic start: the y0 values are the first samples
-        if T <= p:
-            return np.asarray(y0[::-1], dtype=float)[:T].copy()
-        shocks = sd * rng.standard_normal(T)
-        y = np.empty(T)
-        y[:p] = y0[::-1]  # y0 is most recent first
-        for t in range(p, T):
-            acc = beta0 + shocks[t]
-            for i in range(1, p + 1):
-                acc += betas[i - 1] * y[t - i]
-            for j in range(1, q + 1):
-                if t - j >= p:
-                    acc -= alphas[j - 1] * shocks[t - j]
-            y[t] = acc
-        return y
     burn = _default_burn(max(p, q)) if burn_in is None else int(burn_in)
-    shocks = sd * rng.standard_normal(burn + T)
+    shocks = np.sqrt(sigma2) * rng.standard_normal(burn + T)
     b = np.concatenate([[1.0], -np.asarray(alphas, dtype=float)])
     a = np.concatenate([[1.0], -np.asarray(betas, dtype=float)])
     denom = 1.0 - sum(betas)
@@ -369,18 +335,14 @@ def sample_values(spec: DgpSpec, T: int, rng: np.random.Generator):
         return gaussian_paths(spec, rng.standard_normal(innovation_count(spec, T)))
 
     if isinstance(spec, ArProcess):
-        return _arma_values(
-            spec.beta0, spec.betas, (), spec.sigma2, spec.y0, spec.burn_in, T, rng
-        )
+        return _arma_values(spec.beta0, spec.betas, (), spec.sigma2, spec.burn_in, T, rng)
 
     if isinstance(spec, MaProcess):
-        return _arma_values(
-            spec.alpha0, (), spec.alphas, spec.sigma2, None, spec.burn_in, T, rng
-        )
+        return _arma_values(spec.alpha0, (), spec.alphas, spec.sigma2, spec.burn_in, T, rng)
 
     if isinstance(spec, ArmaProcess):
         return _arma_values(
-            spec.beta0, spec.betas, spec.alphas, spec.sigma2, spec.y0, spec.burn_in, T, rng
+            spec.beta0, spec.betas, spec.alphas, spec.sigma2, spec.burn_in, T, rng
         )
 
     if isinstance(spec, VarProcess):

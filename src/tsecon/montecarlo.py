@@ -33,7 +33,7 @@ from .cointegration import eg_adf_block_statistic, eg_adf_test
 from .cvcache import CvEntry
 from .dgp import (GENERATOR_NAME, RandomWalk, WhiteNoise, gaussian_paths, innovation_count,
                   rng_for, simulate)
-from .dgp import sample_values  # noqa: F401  rebound by perfbench/layers.py until ROADMAP item 2
+from .dgp import sample_values  # noqa: F401  rebound by perfbench until ROADMAP items 4 and 8
 from .errors import DomainError
 from .ols import qr_lstsq
 from .report import DEFAULT_LEVELS

@@ -436,8 +436,9 @@ def solve_ols(X: np.ndarray, y: np.ndarray, column_names: Sequence[str] | None =
     QrFit(r, C[:, j], rho_j, n).
     Raises :class:`CollinearityError` when r, each column divided by its norm
     so that the units of X do not matter, has a singular value at or below
-    max(m, k) * eps * sigma_max.  It names the k - rank columns that weigh
-    most in the null-space right singular vectors, in column order.
+    max(m, k) * eps * sigma_max.  It names the k - rank columns with the
+    smallest |r_jj| / ||x_j||, the sine of the angle between column j and the
+    span of the columns before it, in column order.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -461,9 +462,8 @@ def solve_ols(X: np.ndarray, y: np.ndarray, column_names: Sequence[str] | None =
     tol = max(m, k) * np.finfo(float).eps * s[0]
     if s[-1] <= tol:  # s is sorted in decreasing order
         rank = int(np.sum(s > tol))
-        # weights that tie up to rounding name the later column, the duplicate
-        weight = np.round(np.sum(np.linalg.svd(scaled)[2][rank:] ** 2, axis=0), 12)
-        offenders = np.sort(np.lexsort((-np.arange(k), -weight))[: k - rank])
+        sines = np.abs(np.diagonal(scaled))
+        offenders = np.sort(np.argsort(sines, kind="stable")[: k - rank])
         raise CollinearityError([column_names[i] for i in offenders])
 
     # one row per response
@@ -533,8 +533,11 @@ def f_statistic(restricted: OlsFit, unrestricted: OlsFit, q: int | None = None) 
     """Homoskedasticity-only F statistic for q linear restrictions.
 
     F = ((SSR_r - SSR_u) / q) / (SSR_u / (n - k_u)).  Both fits must be
-    estimated on the same response sample; the restricted SSR may not fall
-    below the unrestricted one beyond numerical noise.
+    estimated on the same response sample, to within 1e-8 max|y|; the
+    restricted SSR may not fall below the unrestricted one by more than
+    1e-8 SSR_u.  Both tolerances are relative, so the verdict does not depend
+    on the units of y.  An exact unrestricted fit is refused, as by
+    :func:`exclusion_f_test`.
     """
     if q is None:
         q = unrestricted.n_params - restricted.n_params
@@ -547,15 +550,16 @@ def f_statistic(restricted: OlsFit, unrestricted: OlsFit, q: int | None = None) 
         )
     y_r = restricted.fitted + restricted.residuals
     y_u = unrestricted.fitted + unrestricted.residuals
-    scale = max(1.0, float(np.max(np.abs(y_u))))
-    if not np.allclose(y_r, y_u, rtol=0.0, atol=1e-8 * scale):
+    if not np.allclose(y_r, y_u, rtol=0.0, atol=1e-8 * np.max(np.abs(y_u))):
         raise DomainError("restricted and unrestricted fits have different responses")
 
     df_den = unrestricted.n_obs - unrestricted.n_params
     if df_den < 1:
         raise DomainError("no residual degrees of freedom in the unrestricted fit")
+    if exact_fit(unrestricted.ssr, unrestricted.n_obs, y_u):
+        raise DomainError("the unrestricted regression fits exactly; the F test is undefined")
     delta = restricted.ssr - unrestricted.ssr
-    if delta < -1e-8 * max(unrestricted.ssr, 1.0):
+    if delta < -1e-8 * unrestricted.ssr:
         raise DomainError("restricted SSR is below unrestricted SSR: fits are inconsistent")
     delta = max(delta, 0.0)
     f = (delta / q) / (unrestricted.ssr / df_den)

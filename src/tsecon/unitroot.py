@@ -20,7 +20,7 @@ import numpy as np
 from .cvcache import default_cache
 from .errors import DomainError
 from .ols import lstsq_buffer, qr_factorise, solve_ols
-from .ols import build_design  # noqa: F401  rebound by perfbench/layers.py until ROADMAP item 2
+from .ols import build_design  # noqa: F401  rebound by perfbench until ROADMAP items 4 and 8
 from .report import DEFAULT_LEVELS, TestReport, make_test_report
 from .series import TimeSeries, require_series
 

@@ -14,11 +14,15 @@ import sys
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
 from jsonschema import Draft202012Validator
 
 import tsecon
+from tsecon.cli import _build_sim_spec, build_parser
 from tsecon.cli import main as cli_main
+from tsecon.dgp import (ArmaProcess, ArProcess, CointegratedPair, InterceptBreakAr, MaProcess,
+                        RandomWalk, VarProcess, WhiteNoise)
 
 SCHEMA = json.loads((resources.files("tsecon") / "report_schema.json").read_text())
 VALIDATOR = Draft202012Validator(SCHEMA)
@@ -284,6 +288,75 @@ def test_simulate_roundtrip_recovers_ar_coefficients(tmp_path):
     assert abs(model["intercept"] - 1.0) < 0.3
     assert abs(model["lag_coefficients"][0] - 0.6) < 0.1
     assert model["stationarity"]["stationary"] is True
+
+
+SIM_SPECS = {
+    "white-noise": (("--sigma2", "2.5"), WhiteNoise(sigma2=2.5, seed=1)),
+    "ar": (("--beta0", "0.7", "--betas", "0.5,-0.2", "--sigma2", "1.5", "--burn-in", "7"),
+           ArProcess(beta0=0.7, betas=(0.5, -0.2), sigma2=1.5, burn_in=7, seed=1)),
+    "ma": (("--alpha0", "0.3", "--alphas", "0.4,0.1", "--sigma2", "0.5", "--burn-in", "3"),
+           MaProcess(alpha0=0.3, alphas=(0.4, 0.1), sigma2=0.5, burn_in=3, seed=1)),
+    "arma": (("--beta0", "-1", "--betas", "0.3", "--alphas", "0.2,0.1", "--burn-in", "12"),
+             ArmaProcess(beta0=-1.0, betas=(0.3,), alphas=(0.2, 0.1), burn_in=12, seed=1)),
+    "random-walk": (("--drift", "0.1", "--y0", "3", "--sigma2", "0.2"),
+                    RandomWalk(drift=0.1, y0=3.0, sigma2=0.2, seed=1)),
+    "random-walk-drift": (("--drift", "0.4", "--y0", "-2"),
+                          RandomWalk(drift=0.4, y0=-2.0, seed=1)),
+    "var": (("--delta", "0.5,0.2", "--a-matrices", "[[[0.3, 0.1], [0.0, 0.5]]]",
+             "--innovation-cov", "[[1.0, 0.3], [0.3, 2.0]]", "--names", "imp,exp",
+             "--burn-in", "9"),
+            VarProcess(delta=(0.5, 0.2), coeff_matrices=([[0.3, 0.1], [0.0, 0.5]],),
+                       innovation_cov=[[1.0, 0.3], [0.3, 2.0]], names=("imp", "exp"),
+                       burn_in=9, seed=1)),
+    "cointegrated-pair": (("--theta", "2", "--drift", "0.1", "--noise-ar", "0.5",
+                           "--endogeneity", "0.3", "--burn-in", "4"),
+                          CointegratedPair(theta=2.0, drift=0.1, noise_ar=0.5,
+                                           endogeneity=0.3, burn_in=4, seed=1)),
+    "intercept-break-ar": (("--beta0-pre", "0.2", "--beta0-post", "2", "--break-frac", "0.3",
+                            "--betas", "0.4,0.1", "--sigma2", "0.7"),
+                           InterceptBreakAr(beta0_pre=0.2, beta0_post=2.0, break_frac=0.3,
+                                            betas=(0.4, 0.1), sigma2=0.7, seed=1)),
+}
+
+
+def _sim_args(kind, *flags):
+    return build_parser().parse_args(["simulate", "--kind", kind, "--T", "10", "--out", "x.csv",
+                                      *flags])
+
+
+def test_simulate_kinds_are_the_specs():
+    kinds = next(a for a in build_parser()._actions if a.dest == "command").choices["simulate"]
+    kind_action = next(a for a in kinds._actions if a.dest == "kind")
+    assert list(kind_action.choices) == list(SIM_SPECS)
+
+
+@pytest.mark.parametrize("kind", SIM_SPECS)
+def test_simulate_builds_the_dataclass_spec(kind):
+    flags, spec = SIM_SPECS[kind]
+    assert _build_sim_spec(_sim_args(kind, *flags), seed=1) == spec
+
+
+def test_simulate_var_defaults_to_unit_covariance_and_numbered_names():
+    args = _sim_args("var", "--delta", "0,0,0", "--a-matrices", "[]")
+    assert _build_sim_spec(args, seed=2) == VarProcess(
+        delta=(0.0, 0.0, 0.0), coeff_matrices=(), innovation_cov=np.eye(3), seed=2)
+
+
+@pytest.mark.parametrize("kind, flags, message", [
+    ("ar", (), "--betas is required for kind ar"),
+    ("ma", (), "--alphas is required for kind ma"),
+    ("arma", ("--betas", "0.5"), "--betas and --alphas are required for kind arma"),
+    ("arma", ("--alphas", "0.5"), "--betas and --alphas are required for kind arma"),
+    ("var", ("--delta", "0,0"), "--delta and --a-matrices are required for kind var"),
+    ("var", ("--a-matrices", "[]"), "--delta and --a-matrices are required for kind var"),
+    ("intercept-break-ar", (), "--betas is required for kind intercept-break-ar"),
+    ("random-walk-drift", (), "kind random-walk-drift requires a nonzero --drift"),
+])
+def test_simulate_required_flag_messages(kind, flags, message, tmp_path):
+    code, out, err = run_cli("simulate", "--kind", kind, "--T", "10", "--seed", "1",
+                             "--out", tmp_path / "x.csv", *flags)
+    assert (code, out, err) == (1, "", message + "\n")
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_granger_direction_on_causal_var(data):

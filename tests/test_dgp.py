@@ -97,18 +97,6 @@ def test_ma_sample_moments_match_closed_forms():
     assert abs(est3) < 0.02  # beyond the MA order the autocovariance is zero
 
 
-def test_ar_y0_start_is_deterministic():
-    spec = ArProcess(beta0=0.0, betas=(0.5,), y0=(3.0,), seed=2)
-    values = sample_values(spec, 50, rng_for(2))
-    assert values[0] == 3.0
-    shocks = rng_for(2).standard_normal(50)
-    manual = np.empty(50)
-    manual[0] = 3.0
-    for t in range(1, 50):
-        manual[t] = 0.5 * manual[t - 1] + shocks[t]
-    assert np.allclose(values, manual, atol=1e-12)
-
-
 def test_cointegrated_pair_structure():
     spec = CointegratedPair(theta=2.0, noise_ar=0.5, seed=31)
     values = sample_values(spec, 50_000, rng_for(31))

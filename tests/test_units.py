@@ -13,11 +13,13 @@ import pytest
 from tsecon import (
     AdfSpec,
     CollinearityError,
+    DomainError,
     TimeSeries,
     adf_test,
     chow_test,
     dols,
     eg_adf_test,
+    f_statistic,
     fit_ar,
     fit_var,
     granger_test,
@@ -27,6 +29,7 @@ from tsecon import (
     select_var_order,
     solve_ols,
 )
+from tsecon.ols import exclusion_f_test
 
 SCALES = [1e-12, 1e-6, 1.0, 1e6, 1e12]
 REL = 1e-10
@@ -98,9 +101,25 @@ def test_exact_dependencies_are_refused_at_every_scale(c):
     t = np.arange(50.0)
     X = c * np.column_stack([np.ones(50), t, 2.0 * t + 3.0])
     y = c * np.random.default_rng(0).standard_normal(50)
-    with pytest.raises(CollinearityError):
+    with pytest.raises(CollinearityError) as exc:
         solve_ols(X, y, ("const", "t", "u"))
+    assert exc.value.columns == ["u"]
     X = c * np.column_stack([np.ones(50), t, np.zeros(50)])
     with pytest.raises(CollinearityError) as exc:
         solve_ols(X, y, ("const", "t", "zero"))
     assert exc.value.columns == ["zero"]
+
+
+@pytest.mark.parametrize("c", [1e-12, 1.0, 1e12])
+def test_f_statistic_judges_responses_at_every_scale(c):
+    rng = np.random.default_rng(5)
+    X = np.column_stack([np.ones(50), rng.standard_normal(50)])
+    y1, y2 = c * rng.standard_normal((2, 50))
+    unrestricted = solve_ols(X, y1)
+    with pytest.raises(DomainError, match="^restricted and unrestricted fits have different "):
+        f_statistic(solve_ols(X[:, :1], y2), unrestricted)
+    got = f_statistic(solve_ols(X[:, :1], y1), unrestricted)
+    assert got.statistic == pytest.approx(exclusion_f_test(unrestricted, 1).statistic, rel=REL)
+    exact = solve_ols(X, X @ [c, 2.0 * c])
+    with pytest.raises(DomainError, match="^the unrestricted regression fits exactly"):
+        f_statistic(solve_ols(X[:, :1], X @ [c, 2.0 * c]), exact)

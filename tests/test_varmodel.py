@@ -339,6 +339,13 @@ def test_fit_var_on_degenerate_pairs(kind):
         fit_var({"a": TimeSeries(a), "b": TimeSeries(other)}, 2)
 
 
+def test_fit_var_names_the_copy_in_a_duplicated_pair():
+    a = simulate(ArProcess(betas=(0.5,), seed=3), 200).values
+    with pytest.raises(CollinearityError) as exc:
+        fit_var({"a": TimeSeries(a), "b": TimeSeries(a.copy())}, 2)
+    assert exc.value.columns == ["b.l1", "b.l2"]
+
+
 def test_fit_var_guard_messages():
     a = simulate(ArProcess(betas=(0.5,), seed=3), 200).values
     b = simulate(ArProcess(betas=(0.3,), seed=4), 200).values

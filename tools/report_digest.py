@@ -2,7 +2,8 @@
 """Print the SHA-256 of every report and file a fixed battery of CLI commands makes.
 
 The battery runs every subcommand of `tsecon` in a temporary directory: it
-simulates seeded input CSVs, analyses them, writes every --emit-csv table,
+simulates a seeded CSV of every --kind (the VAR once more with every option
+set), analyses some of them, writes every --emit-csv table,
 and simulates adf, qlr and egadf critical values (1,000 replications each)
 into one --out file that a last adf call reads back.  Each line is
 "<sha256>  <what>", one per report (stdout, then stderr when a command
@@ -38,6 +39,18 @@ BATTERY = [
     ["simulate", "--kind", "random-walk", "--T", "300", "--seed", "45", "--out", "rw.csv"],
     ["simulate", "--kind", "intercept-break-ar", "--T", "200", "--betas", "0.5",
      "--seed", "46", "--out", "break.csv"],
+    ["simulate", "--kind", "white-noise", "--T", "100", "--sigma2", "2.5", "--seed", "47",
+     "--out", "wn.csv"],
+    ["simulate", "--kind", "ma", "--T", "150", "--alpha0", "0.3", "--alphas", "0.4,0.1",
+     "--seed", "48", "--out", "ma.csv"],
+    ["simulate", "--kind", "arma", "--T", "150", "--beta0", "-1.0", "--betas", "0.3",
+     "--alphas", "0.2,0.1", "--burn-in", "12", "--seed", "49", "--out", "arma.csv"],
+    ["simulate", "--kind", "random-walk-drift", "--T", "120", "--drift", "0.4", "--y0", "-2.0",
+     "--seed", "50", "--out", "rw_drift.csv"],
+    ["simulate", "--kind", "var", "--T", "150", "--delta", "0.5,0.2",
+     "--a-matrices", "[[[0.3, 0.1], [0.0, 0.5]], [[0.1, 0.0], [0.05, 0.1]]]",
+     "--innovation-cov", "[[1.0, 0.3], [0.3, 2.0]]", "--names", "imp,exp", "--seed", "51",
+     "--out", "var_named.csv"],
     ["describe", "ar.csv", "--max-lag", "8", "--emit-csv", "describe.csv"],
     ["fit-ar", "ar.csv", "--p", "2"],
     ["select-lag", "ar.csv", "--p-max", "4"],
