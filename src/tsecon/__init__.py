@@ -17,9 +17,9 @@ __version__ = "0.1.0"
 # Each exported name, by the module that owns it.
 _EXPORTS = {
     "armodel": (
-        "Ar1Moments", "ArFit", "ForecastResult", "LagPolynomial", "MaMoments", "RootCheck",
-        "ar1_moments", "fit_ar", "forecast_ar", "is_stationary", "ma_moments",
-        "pseudo_out_of_sample_rmsfe",
+        "Ar1Moments", "ArFit", "ForecastResult", "LagPolynomial", "MaMoments",
+        "StabilityReport", "ar1_moments", "companion_matrix", "fit_ar", "forecast_ar",
+        "is_stationary", "ma_moments", "pseudo_out_of_sample_rmsfe", "stability",
     ),
     "breaks": ("chow_f_scan", "chow_test", "qlr_test", "qlr_window"),
     "cointegration": (
@@ -42,8 +42,7 @@ _EXPORTS = {
     "series": ("SampleMoments", "TimeSeries", "difference", "lag", "sample_moments"),
     "unitroot": ("AdfSpec", "adf_test"),
     "varmodel": (
-        "StabilityReport", "VarFit", "companion_matrix", "fit_var", "forecast_var",
-        "granger_test", "stability", "var_autocovariances", "var_mean",
+        "VarFit", "fit_var", "forecast_var", "granger_test", "var_autocovariances", "var_mean",
     ),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}

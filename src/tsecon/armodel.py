@@ -1,9 +1,10 @@
-"""Autoregressions: estimation, stationarity, population moments, forecasts.
+"""Autoregressions: estimation, stability, population moments, forecasts.
 
 An AR(p) is Y_t = b0 + b1 Y_{t-1} + ... + bp Y_{t-p} + u_t.  Estimation is
-least squares on lagged values.  Stationarity queries work on the lag
-polynomial 1 - b1 z - ... - bp z^p: the process is stationary when every
-root lies outside the unit circle.
+least squares on lagged values.  An AR(p) is the k = 1 VAR(p), so one
+routine judges the stability of both: every companion eigenvalue must lie
+inside the unit circle, as every root of the lag polynomial, its reciprocal,
+lies outside it.
 """
 
 from __future__ import annotations
@@ -20,12 +21,14 @@ from .series import TimeSeries, require_series
 
 __all__ = [
     "LagPolynomial",
-    "RootCheck",
+    "StabilityReport",
     "ArFit",
     "Ar1Moments",
     "MaMoments",
     "ForecastResult",
     "fit_ar",
+    "companion_matrix",
+    "stability",
     "is_stationary",
     "ar1_moments",
     "ma_moments",
@@ -33,12 +36,15 @@ __all__ = [
     "pseudo_out_of_sample_rmsfe",
 ]
 
-UNIT_ROOT_TOL = 1e-8
+STABILITY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
 class LagPolynomial:
-    """Coefficients (b1, ..., bp) of 1 - b1 z - ... - bp z^p."""
+    """Coefficients (b1, ..., bp) of 1 - b1 z - ... - bp z^p.
+
+    Its roots are the reciprocals of the nonzero AR(p) companion eigenvalues.
+    """
 
     coefficients: tuple
 
@@ -54,46 +60,54 @@ class LagPolynomial:
     def order(self) -> int:
         return len(self.coefficients)
 
-    def effective_coefficients(self) -> tuple:
-        """Coefficients with trailing exact zeros trimmed."""
-        coeffs = list(self.coefficients)
-        while coeffs and coeffs[-1] == 0.0:
-            coeffs.pop()
-        return tuple(coeffs)
-
-    def roots(self) -> np.ndarray:
-        """Roots of 1 - b1 z - ... - bp z^p (empty when all bi are zero)."""
-        eff = self.effective_coefficients()
-        if not eff:
-            return np.array([], dtype=complex)
-        # numpy wants highest degree first: [-bp, ..., -b1, 1]
-        poly = np.concatenate([-np.asarray(eff[::-1], dtype=float), [1.0]])
-        return np.roots(poly)
-
 
 @dataclass(frozen=True)
-class RootCheck:
-    """Outcome of a stationarity query on a lag polynomial."""
+class StabilityReport:
+    """Companion eigenvalue moduli, largest first, and the verdict they imply."""
 
-    stationary: bool
-    root_moduli: tuple  # sorted ascending
-    has_unit_root: bool
+    stable: bool
+    root_moduli: tuple
+
+    @property
+    def has_unit_root(self) -> bool:
+        return any(abs(m - 1.0) <= STABILITY_TOL for m in self.root_moduli)
 
 
-def is_stationary(poly: LagPolynomial, tol: float = UNIT_ROOT_TOL) -> RootCheck:
-    """Check that all roots of the lag polynomial lie outside the unit circle.
+def companion_matrix(coeff_matrices) -> np.ndarray:
+    """Stacked VAR(1) form of a VAR(p): top block row holds A_1..A_p."""
+    mats = [np.asarray(a, dtype=float) for a in coeff_matrices]
+    if not mats:
+        raise DomainError("companion form needs at least one coefficient matrix")
+    k = mats[0].shape[0] if mats[0].ndim else 0
+    for a in mats:
+        if a.shape != (k, k):
+            raise DomainError("coefficient matrices must all be square with equal size")
+    p = len(mats)
+    F = np.zeros((k * p, k * p))
+    F[:k, :] = np.hstack(mats)
+    if p > 1:
+        F[k:, : k * (p - 1)] = np.eye(k * (p - 1))
+    return F
 
-    Roots with modulus within tol of 1 are flagged as unit roots and the
-    polynomial is classified as not stationary.
+
+def stability(source) -> StabilityReport:
+    """Stability of a fitted VAR (its coeff_matrices) or of raw coefficient matrices.
+
+    The autoregression is stable iff every companion eigenvalue has modulus
+    below 1 - STABILITY_TOL, equivalent to all lag-polynomial roots lying
+    outside the unit circle.
     """
-    moduli = np.sort(np.abs(poly.roots()))
-    has_unit = bool(np.any(np.abs(moduli - 1.0) <= tol))
-    stationary = bool(np.all(moduli > 1.0 + tol))
-    return RootCheck(
-        stationary=stationary and not has_unit,
-        root_moduli=tuple(float(m) for m in moduli),
-        has_unit_root=has_unit,
-    )
+    F = companion_matrix(getattr(source, "coeff_matrices", source))
+    if not np.isfinite(F).all():
+        raise DomainError("autoregressive coefficients must be finite")
+    moduli = np.sort(np.abs(np.linalg.eigvals(F)))[::-1]
+    stable = bool(np.all(moduli < 1.0 - STABILITY_TOL))
+    return StabilityReport(stable=stable, root_moduli=tuple(float(m) for m in moduli))
+
+
+def is_stationary(poly: LagPolynomial) -> StabilityReport:
+    """Stability of the AR(p) with this lag polynomial, judged as the k = 1 VAR(p)."""
+    return stability([[[b]] for b in poly.coefficients])
 
 
 @dataclass(frozen=True)

@@ -48,6 +48,7 @@ def _on_first_call(module: str, name: str):
 fit_ar = _on_first_call("armodel", "fit_ar")
 forecast_ar = _on_first_call("armodel", "forecast_ar")
 is_stationary = _on_first_call("armodel", "is_stationary")
+stability = _on_first_call("armodel", "stability")
 chow_f_scan = _on_first_call("breaks", "chow_f_scan")
 chow_test = _on_first_call("breaks", "chow_test")
 qlr_test = _on_first_call("breaks", "qlr_test")
@@ -63,7 +64,6 @@ adf_test = _on_first_call("unitroot", "adf_test")
 fit_var = _on_first_call("varmodel", "fit_var")
 forecast_var = _on_first_call("varmodel", "forecast_var")
 granger_test = _on_first_call("varmodel", "granger_test")
-stability = _on_first_call("varmodel", "stability")
 
 # The statistics mc-critical can simulate: montecarlo._SIMULATED, named here so
 # that building the parser does not import the Monte Carlo engine.
@@ -283,9 +283,9 @@ def _ols_block(fit) -> dict:
     }
 
 
-def _stability_block(check, stationary: bool) -> dict:
+def _stability_block(check) -> dict:
     return {
-        "stationary": bool(stationary),
+        "stationary": bool(check.stable),
         "root_moduli": [float(m) for m in check.root_moduli],
         "has_unit_root": bool(check.has_unit_root),
     }
@@ -297,7 +297,7 @@ def _ar_block(fit) -> dict:
         "p": int(fit.order),
         "intercept": float(fit.intercept),
         "lag_coefficients": [float(c) for c in fit.lag_poly.coefficients],
-        "stationarity": _stability_block(check, check.stationary),
+        "stationarity": _stability_block(check),
         "regression": _ols_block(fit.fit),
     }
 
@@ -405,7 +405,7 @@ def _var_block(fit) -> dict:
         "intercepts": [float(v) for v in fit.intercepts],
         "coefficient_matrices": [A.tolist() for A in fit.coeff_matrices],
         "residual_cov": fit.residual_cov.tolist(),
-        "stability": _stability_block(check, check.stable),
+        "stability": _stability_block(check),
         "equations": {nm: _ols_block(f) for nm, f in zip(fit.names, fit.equation_fits)},
     }
 

@@ -20,10 +20,10 @@ from typing import Union
 
 import numpy as np
 
-from .armodel import LagPolynomial, is_stationary
+from .armodel import companion_matrix  # noqa: F401  re-exported
+from .armodel import LagPolynomial, is_stationary, stability
 from .errors import DomainError
 from .series import TimeSeries
-from .varmodel import companion_matrix, stability  # noqa: F401  companion_matrix re-exported
 
 __all__ = [
     "WhiteNoise",
@@ -67,10 +67,10 @@ def _check_stable(betas) -> None:
     if len(betas) == 0:
         return
     check = is_stationary(LagPolynomial(betas))
-    if not check.stationary:
+    if not check.stable:
         raise DomainError(
             "autoregressive parameters are not stationary "
-            f"(root moduli {[round(m, 6) for m in check.root_moduli]})"
+            f"(eigenvalue moduli {[round(m, 6) for m in check.root_moduli]})"
         )
 
 
@@ -161,15 +161,21 @@ class VarProcess:
     seed: int | None = None
 
     def __post_init__(self):
-        delta = np.asarray(self.delta, dtype=float)
+        field = "delta"
+        try:
+            delta = np.asarray(self.delta, dtype=float)
+            field = "coeff_matrices"
+            mats = tuple(np.asarray(a, dtype=float) for a in self.coeff_matrices)
+            field = "innovation_cov"
+            cov = np.asarray(self.innovation_cov, dtype=float)
+        except (TypeError, ValueError):
+            raise DomainError(f"VAR {field} must be an array of numbers") from None
         if delta.ndim != 1:
             raise DomainError("delta must be a vector")
         k = delta.size
-        mats = tuple(np.asarray(a, dtype=float) for a in self.coeff_matrices)
         for a in mats:
             if a.shape != (k, k):
                 raise DomainError(f"coefficient matrices must be {k} x {k}")
-        cov = np.asarray(self.innovation_cov, dtype=float)
         if cov.shape != (k, k) or not np.allclose(cov, cov.T):
             raise DomainError("innovation covariance must be a symmetric k x k matrix")
         try:

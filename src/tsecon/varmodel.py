@@ -15,7 +15,13 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .armodel import ForecastResult, iterate_linear_forecast
+from .armodel import (
+    ForecastResult,
+    StabilityReport,
+    companion_matrix,
+    iterate_linear_forecast,
+    stability,
+)
 from .errors import DomainError
 from .ols import OlsFit, common_length, exclusion_f_test, lag_design, solve_ols
 from .report import DEFAULT_LEVELS, TestReport, make_test_report
@@ -32,44 +38,6 @@ __all__ = [
     "forecast_var",
     "granger_test",
 ]
-
-STABILITY_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class StabilityReport:
-    """Companion eigenvalue moduli and the verdict they imply."""
-
-    stable: bool
-    root_moduli: tuple
-
-    @property
-    def has_unit_root(self) -> bool:
-        return any(abs(m - 1.0) <= STABILITY_TOL for m in self.root_moduli)
-
-
-def companion_matrix(coeff_matrices) -> np.ndarray:
-    """Stacked VAR(1) form of a VAR(p): top block row holds A_1..A_p."""
-    mats = [np.asarray(a, dtype=float) for a in coeff_matrices]
-    if not mats:
-        raise DomainError("companion form needs at least one coefficient matrix")
-    k = mats[0].shape[0]
-    for a in mats:
-        if a.shape != (k, k):
-            raise DomainError("coefficient matrices must all be square with equal size")
-    p = len(mats)
-    F = np.zeros((k * p, k * p))
-    F[:k, :] = np.hstack(mats)
-    if p > 1:
-        F[k:, : k * (p - 1)] = np.eye(k * (p - 1))
-    return F
-
-
-def _stability_from_matrices(coeff_matrices) -> StabilityReport:
-    F = companion_matrix(coeff_matrices)
-    moduli = np.sort(np.abs(np.linalg.eigvals(F)))[::-1]
-    stable = bool(np.all(moduli < 1.0 - STABILITY_TOL))
-    return StabilityReport(stable=stable, root_moduli=tuple(float(m) for m in moduli))
 
 
 @dataclass(frozen=True)
@@ -136,18 +104,6 @@ def fit_var(data: Mapping[str, TimeSeries], p: int, names: Sequence[str] | None 
     )
 
 
-def stability(source) -> StabilityReport:
-    """Stability of a VarFit or of raw coefficient matrices.
-
-    The VAR is stable iff every companion eigenvalue has modulus below
-    1 - tol, equivalent to all lag-polynomial roots lying outside the
-    unit circle.
-    """
-    if isinstance(source, VarFit):
-        return _stability_from_matrices(source.coeff_matrices)
-    return _stability_from_matrices(source)
-
-
 def var_mean(intercepts, coeff_matrices) -> np.ndarray:
     """Stationary mean (I - sum A_i)^{-1} delta."""
     d = np.asarray(intercepts, dtype=float)
@@ -184,7 +140,7 @@ def var_autocovariances(source, tau_max: int, innovation_cov=None) -> list:
     p = len(mats)
     if sigma.shape != (k, k):
         raise DomainError("innovation covariance must be k x k")
-    check = _stability_from_matrices(mats)
+    check = stability(mats)
     if not check.stable:
         raise DomainError(
             f"autocovariances require a stable VAR; largest eigenvalue modulus "

@@ -18,44 +18,53 @@ from tsecon import (
     ma_moments,
     pseudo_out_of_sample_rmsfe,
     simulate,
+    stability,
 )
 from tsecon.armodel import iterate_linear_forecast
 
 
-def test_lag_polynomial_roots_ar1():
-    # 1 - 0.5 z has root z = 2
-    poly = LagPolynomial([0.5])
-    assert np.allclose(poly.roots(), [2.0])
-    check = is_stationary(poly)
-    assert check.stationary and not check.has_unit_root
-    assert check.root_moduli == (2.0,)
+def test_is_stationary_ar1_eigenvalue():
+    # the companion matrix of an AR(1) is [[b1]]; 1 - 0.5 z has root 2 = 1 / 0.5
+    check = is_stationary(LagPolynomial([0.5]))
+    assert check.stable and not check.has_unit_root
+    assert check.root_moduli == (0.5,)
 
 
 def test_lag_polynomial_unit_and_explosive_roots():
     unit = is_stationary(LagPolynomial([1.0]))
-    assert not unit.stationary and unit.has_unit_root
+    assert not unit.stable and unit.has_unit_root
     explosive = is_stationary(LagPolynomial([1.3]))
-    assert not explosive.stationary and not explosive.has_unit_root
-    assert explosive.root_moduli[0] == pytest.approx(1 / 1.3)
+    assert not explosive.stable and not explosive.has_unit_root
+    assert explosive.root_moduli == (1.3,)
 
 
-def test_lag_polynomial_trailing_zeros_trimmed():
+def test_lag_polynomial_trailing_zeros_kept():
+    # a zero coefficient is a zero eigenvalue, where a root would be infinite
     poly = LagPolynomial([0.5, 0.0, 0.0])
     assert poly.order == 3
-    assert poly.effective_coefficients() == (0.5,)
-    assert len(poly.roots()) == 1
+    check = is_stationary(poly)
+    assert check.root_moduli == (0.5, 0.0, 0.0)
+    assert check.stable
 
 
 def test_is_stationary_matches_random_draws(rng):
     # an AR(2) is stationary iff both companion eigenvalues lie inside the
-    # unit circle; the polynomial roots are their reciprocals
+    # unit circle
     for _ in range(200):
         b1, b2 = rng.uniform(-1.5, 1.5, size=2)
         eigs = np.linalg.eigvals(np.array([[b1, b2], [1.0, 0.0]]))
         inside = bool(np.max(np.abs(eigs)) < 1.0 - 1e-6)
         check = is_stationary(LagPolynomial([b1, b2]))
         if abs(np.max(np.abs(eigs)) - 1.0) > 1e-4:  # stay away from the tolerance band
-            assert check.stationary == inside
+            assert check.stable == inside
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_is_stationary_is_the_k1_var_check(p, rng):
+    # an AR(p) is the k = 1 VAR(p), and both are judged by one routine
+    for _ in range(100):
+        b = rng.uniform(-1.2, 1.2, size=p)
+        assert is_stationary(LagPolynomial(b)) == stability([np.array([[c]]) for c in b])
 
 
 def test_fit_ar_recovers_parameters():

@@ -183,7 +183,7 @@ PUBLIC = set("""
     AdfSpec Ar1Moments ArFit ArProcess ArmaProcess CointFit CointegratedPair CollinearityError
     CriterionTable CriticalValueCache CvEntry DEFAULT_LEVELS Design DesignSpec DolsFit
     DomainError EG_ADF_CRITICAL_VALUES FTest ForecastResult IntegrationReport InterceptBreakAr
-    LagPolynomial MaMoments MaProcess McRun OlsFit RandomWalk RootCheck SampleMoments SizePower
+    LagPolynomial MaMoments MaProcess McRun OlsFit RandomWalk SampleMoments SizePower
     StabilityReport TestReport TimeSeries VarFit VarProcess WhiteNoise __version__ adf_test
     ar1_moments build_design chow_f_scan chow_test companion_matrix default_cache difference
     dols eg_adf_test f_statistic fit_ar fit_design fit_var forecast_ar forecast_var
@@ -357,6 +357,28 @@ def test_simulate_required_flag_messages(kind, flags, message, tmp_path):
                              "--out", tmp_path / "x.csv", *flags)
     assert (code, out, err) == (1, "", message + "\n")
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (("--a-matrices", "5"), "VAR coeff_matrices must be an array of numbers"),
+    (("--a-matrices", '[["a"]]'), "VAR coeff_matrices must be an array of numbers"),
+    (("--a-matrices", "[[[NaN, 0], [0, 0.5]]]"), "autoregressive coefficients must be finite"),
+    (("--a-matrices", "[[[0.5, 0], [0, 0.5]]]", "--innovation-cov", '[["x", 0], [0, 1]]'),
+     "VAR innovation_cov must be an array of numbers"),
+], ids=["scalar", "string", "nan", "string-cov"])
+def test_simulate_refuses_bad_var_parameters(flags, message, tmp_path):
+    code, out, err = run_cli("simulate", "--kind", "var", "--delta", "0,0", "--T", "10",
+                             "--seed", "1", "--out", tmp_path / "v.csv", *flags)
+    assert (code, out, err) == (1, "", message + "\n")
+    assert not (tmp_path / "v.csv").exists()
+
+
+def test_fit_ar_stationarity_is_the_k1_var_stability(data):
+    # an AR(p) is judged as the k = 1 VAR(p), so both reports carry one block
+    ar = run_report("fit-ar", data["ar"], "--p", "2")["result"]["model"]
+    var = run_report("fit-var", data["ar"], "--p", "2")["result"]["model"]
+    assert var["coefficient_matrices"] == [[[c]] for c in ar["lag_coefficients"]]
+    assert ar["stationarity"] == var["stability"]
 
 
 def test_granger_direction_on_causal_var(data):

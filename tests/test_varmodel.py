@@ -68,6 +68,8 @@ def test_companion_matrix_layout():
         companion_matrix([])
     with pytest.raises(DomainError):
         companion_matrix([np.ones((2, 3))])
+    with pytest.raises(DomainError):
+        companion_matrix([5.0])
 
 
 def test_stability_worked_example():

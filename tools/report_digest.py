@@ -53,6 +53,7 @@ BATTERY = [
      "--out", "var_named.csv"],
     ["describe", "ar.csv", "--max-lag", "8", "--emit-csv", "describe.csv"],
     ["fit-ar", "ar.csv", "--p", "2"],
+    ["fit-var", "ar.csv", "--p", "2"],
     ["select-lag", "ar.csv", "--p-max", "4"],
     ["select-lag", "var.csv", "--cols", "y1,y2", "--p-max", "3", "--criterion", "aic"],
     ["forecast", "ar.csv", "--p", "1", "--horizon", "6", "--emit-csv", "forecast.csv"],
